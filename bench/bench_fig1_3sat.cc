@@ -22,9 +22,10 @@ void RunEncoding(benchmark::State& state, Encoder encode) {
   ThreeSatInstance inst = RandomThreeSat(num_vars, num_clauses, &rng);
   bool expected = DpllSolve(inst);
   SatEncoding enc = encode(inst);
+  auto compiled = CompiledDtd::Compile(enc.dtd);
   long long sat_count = 0;
   for (auto _ : state) {
-    Result<SatDecision> r = SkeletonSat(*enc.query, enc.dtd);
+    Result<SatDecision> r = SkeletonSat(*enc.query, *compiled);
     BenchCheck(r.ok(), r.error());
     BenchCheck(r.value().verdict != SatVerdict::kUnknown, "step cap hit");
     BenchCheck(r.value().sat() == expected, "disagrees with DPLL");

@@ -19,8 +19,9 @@ void BM_Fig6_FixedDtdDownQual(benchmark::State& state) {
   SatEncoding enc = EncodeThreeSatFixedDown(inst);
   SkeletonSatOptions opt;
   opt.max_steps = 100000000;
+  auto compiled = CompiledDtd::Compile(enc.dtd);
   for (auto _ : state) {
-    Result<SatDecision> r = SkeletonSat(*enc.query, enc.dtd, opt);
+    Result<SatDecision> r = SkeletonSat(*enc.query, *compiled, opt);
     BenchCheck(r.ok(), r.error());
     BenchCheck(r.value().verdict != SatVerdict::kUnknown, "step cap hit");
     BenchCheck(r.value().sat() == expected, "disagrees with DPLL");

@@ -5,9 +5,13 @@
 //   A2: Thm 6.8  reach/sat DP under disjunction-free DTDs
 //   A3: Thm 6.11 no-DTD procedures (downward DP and canonical CQ)
 //   A4: Thm 7.1  sibling-chain NFA procedure
+// The decide series time the decider alone over a DTD compiled before the
+// loop; the *_Compile series time CompiledDtd::Compile on the same DTD
+// families, so the per-DTD setup cost stays visible.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
+#include "src/sat/compiled_dtd.h"
 #include "src/sat/cq_sat.h"
 #include "src/sat/djfree_sat.h"
 #include "src/sat/nodtd_sat.h"
@@ -46,9 +50,10 @@ std::unique_ptr<PathExpr> DeepQuery(int steps) {
 void BM_A1_ReachDp(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
   Dtd d = DeepDtd(depth);
+  auto compiled = CompiledDtd::Compile(d);
   auto p = DeepQuery(depth / 2);
   for (auto _ : state) {
-    Result<SatDecision> r = ReachSat(*p, d);
+    Result<SatDecision> r = ReachSat(*p, *compiled);
     BenchCheck(r.ok() && r.value().sat(), "deep chain must be satisfiable");
   }
   state.counters["dtd_size"] = d.Size();
@@ -56,6 +61,19 @@ void BM_A1_ReachDp(benchmark::State& state) {
 }
 
 BENCHMARK(BM_A1_ReachDp)->RangeMultiplier(2)->Range(8, 256)->Unit(benchmark::kMicrosecond);
+
+// Compile cost of one DTD family, swept like the matching decide series.
+void RunCompile(benchmark::State& state, Dtd (*family)(int)) {
+  Dtd d = family(static_cast<int>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(CompiledDtd::Compile(d));
+  }
+  state.counters["dtd_size"] = d.Size();
+}
+
+void BM_A1_Compile(benchmark::State& state) { RunCompile(state, &DeepDtd); }
+
+BENCHMARK(BM_A1_Compile)->RangeMultiplier(2)->Range(8, 256)->Unit(benchmark::kMicrosecond);
 
 Dtd DjfreeDeepDtd(int depth) {
   Dtd d;
@@ -76,6 +94,7 @@ Dtd DjfreeDeepDtd(int depth) {
 void BM_A2_DisjunctionFreeDp(benchmark::State& state) {
   int depth = static_cast<int>(state.range(0));
   Dtd d = DjfreeDeepDtd(depth);
+  auto compiled = CompiledDtd::Compile(d);
   // Conjunction of qualifiers along the spine.
   std::vector<std::unique_ptr<Qualifier>> qs;
   for (int i = 1; i <= depth / 2; ++i) {
@@ -85,7 +104,7 @@ void BM_A2_DisjunctionFreeDp(benchmark::State& state) {
   }
   auto p = PathExpr::Filter(PathExpr::Empty(), Qualifier::AndAll(std::move(qs)));
   for (auto _ : state) {
-    Result<SatDecision> r = DisjunctionFreeSat(*p, d);
+    Result<SatDecision> r = DisjunctionFreeSat(*p, *compiled);
     BenchCheck(r.ok() && r.value().sat(), "spine qualifiers must be sat");
   }
   state.counters["dtd_size"] = d.Size();
@@ -93,6 +112,12 @@ void BM_A2_DisjunctionFreeDp(benchmark::State& state) {
 }
 
 BENCHMARK(BM_A2_DisjunctionFreeDp)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond);
+
+void BM_A2_Compile(benchmark::State& state) {
+  RunCompile(state, &DjfreeDeepDtd);
+}
+
+BENCHMARK(BM_A2_Compile)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond);
 
 void BM_A3_NoDtdDp(benchmark::State& state) {
   int width = static_cast<int>(state.range(0));
@@ -131,9 +156,8 @@ void BM_A3_CanonicalCq(benchmark::State& state) {
 
 BENCHMARK(BM_A3_CanonicalCq)->RangeMultiplier(2)->Range(8, 512)->Unit(benchmark::kMicrosecond);
 
-void BM_A4_SiblingChains(benchmark::State& state) {
-  int width = static_cast<int>(state.range(0));
-  // r -> (A, B)^w via a star; query walks right across the expansion.
+// r -> (A, B)*: one fixed DTD whatever the walk length.
+Dtd SiblingStarDtd(int /*unused*/) {
   Dtd d;
   d.SetRoot("r");
   d.SetProduction("r", Regex::Star(Regex::Concat({Regex::Symbol("A"),
@@ -141,6 +165,13 @@ void BM_A4_SiblingChains(benchmark::State& state) {
   d.SetProduction("A", Regex::Epsilon());
   d.SetProduction("B", Regex::Epsilon());
   d.SetRoot("r");
+  return d;
+}
+
+void BM_A4_SiblingChains(benchmark::State& state) {
+  int width = static_cast<int>(state.range(0));
+  // The query walks right across the (A, B)^w expansion.
+  auto compiled = CompiledDtd::Compile(SiblingStarDtd(width));
   std::vector<std::unique_ptr<PathExpr>> steps;
   steps.push_back(PathExpr::Label("A"));
   for (int i = 0; i < width; ++i) {
@@ -148,7 +179,7 @@ void BM_A4_SiblingChains(benchmark::State& state) {
   }
   auto p = PathExpr::SeqAll(std::move(steps));
   for (auto _ : state) {
-    Result<SatDecision> r = SiblingChainSat(*p, d);
+    Result<SatDecision> r = SiblingChainSat(*p, *compiled);
     BenchCheck(r.ok() && r.value().sat(), "sibling walk must be satisfiable");
   }
   state.counters["moves"] = width;
@@ -156,6 +187,12 @@ void BM_A4_SiblingChains(benchmark::State& state) {
 }
 
 BENCHMARK(BM_A4_SiblingChains)->RangeMultiplier(2)->Range(8, 256)->Unit(benchmark::kMicrosecond);
+
+void BM_A4_Compile(benchmark::State& state) {
+  RunCompile(state, &SiblingStarDtd);
+}
+
+BENCHMARK(BM_A4_Compile)->Arg(0)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace xpathsat

@@ -1,5 +1,6 @@
-// Quickstart: parse a DTD and a query, decide satisfiability, print the
-// algorithm that ran and (when satisfiable) a conforming witness document.
+// Quickstart: parse a DTD, compile it once, then decide the satisfiability of
+// queries against it, printing the algorithm that ran and (when satisfiable)
+// a conforming witness document.
 //
 //   ./quickstart                  # runs the built-in demo
 //   ./quickstart '<query>'        # decide a custom query against the demo DTD
@@ -24,7 +25,7 @@ attrs book: year
 attrs author: name
 )";
 
-void Decide(const Dtd& dtd, const std::string& query) {
+void Decide(const CompiledDtd& dtd, const std::string& query) {
   Result<std::unique_ptr<PathExpr>> p = ParsePath(query);
   if (!p.ok()) {
     std::printf("  %-42s parse error: %s\n", query.c_str(), p.error().c_str());
@@ -48,21 +49,23 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("DTD:\n%s\n", dtd.value().ToString().c_str());
+  std::shared_ptr<const CompiledDtd> compiled =
+      CompiledDtd::Compile(dtd.value());
 
   if (argc > 1) {
-    Decide(dtd.value(), argv[1]);
+    Decide(*compiled, argv[1]);
     return 0;
   }
 
   std::printf("Satisfiability against the DTD:\n");
-  // A mix of fragments; the facade picks the right decision procedure.
-  Decide(dtd.value(), "book/title");
-  Decide(dtd.value(), "book/chapter");                    // not in the schema
-  Decide(dtd.value(), ".[book[author && editor]]");       // exclusive siblings
-  Decide(dtd.value(), ".[book[author] && book[editor]]"); // different books
-  Decide(dtd.value(), "book/title/>");                    // sibling axis
-  Decide(dtd.value(), "book[!(author) && !(editor)]");    // negation
-  Decide(dtd.value(), ".[book/@year=\"2005\" && book/@year!=\"2005\"]");
-  Decide(dtd.value(), "book/author/^^[label()=bib]");     // upward + label test
+  // A mix of fragments; the dispatch picks the right decision procedure.
+  Decide(*compiled, "book/title");
+  Decide(*compiled, "book/chapter");                      // not in the schema
+  Decide(*compiled, ".[book[author && editor]]");         // exclusive siblings
+  Decide(*compiled, ".[book[author] && book[editor]]");   // different books
+  Decide(*compiled, "book/title/>");                      // sibling axis
+  Decide(*compiled, "book[!(author) && !(editor)]");      // negation
+  Decide(*compiled, ".[book/@year=\"2005\" && book/@year!=\"2005\"]");
+  Decide(*compiled, "book/author/^^[label()=bib]");       // upward + label test
   return 0;
 }

@@ -484,9 +484,8 @@ SatResponse SatEngine::Execute(const SatRequest& request,
   resp.fragment = query->features.FragmentName();
 
   // The handle pins the artifacts: no per-request fingerprinting, cache
-  // probe, or equivalence check — registration already paid for those.
-  // (resp.trace.compile_ns therefore stays 0 on every request path; DTD
-  // compilation is measured at RegisterDtd time into dtd_compile_ns.)
+  // probe, or equivalence check — registration already paid for those
+  // (and recorded the compile into dtd_compile_ns).
   std::shared_ptr<const CompiledDtd> compiled = request.dtd.compiled();
   resp.dtd_fingerprint = compiled->fingerprint;
 

@@ -1,8 +1,8 @@
 // The session-oriented satisfiability engine: the serving layer above the
 // Sec. 8 dispatch facade.
 //
-// DecideSatisfiability re-parses, re-classifies, and re-compiles its inputs
-// on every call. Realistic workloads (schema audits, query pruning, steady
+// DecideSatisfiability(p, dtd) re-parses, re-classifies, and re-compiles its
+// inputs on every call. Realistic workloads (schema audits, query pruning, steady
 // service traffic) decide thousands of queries against a handful of DTDs, so
 // the engine models a *session*: schemas are registered once, requests are
 // submitted asynchronously, and identical requests are answered from a memo
@@ -43,11 +43,11 @@
 // tunes the shard count; 1 reproduces the old single-mutex layout exactly
 // (the parity baseline in tests and benches).
 //
-// Verdict parity: for every request the engine returns exactly what
-// DecideSatisfiability(parse(query), dtd, options) returns — the caches and
-// the memo only remove redundant work, never change routing or verdicts
-// (enforced by the randomized cross-check in tests/engine_test.cc, which
-// covers memo-hit rounds and the Submit path).
+// Verdict parity: the engine runs the same Sec. 8 dispatch over the same
+// CompiledDtd that DecideSatisfiability(parse(query), dtd, options) builds,
+// so a computed verdict is the facade's by construction; the memo and the
+// caches only skip repeated work (the randomized cross-check in
+// tests/engine_test.cc covers memo-hit rounds and the Submit path).
 #ifndef XPATHSAT_ENGINE_SAT_ENGINE_H_
 #define XPATHSAT_ENGINE_SAT_ENGINE_H_
 

@@ -44,7 +44,6 @@ std::string RenderSlowJson(const SlowQueryLog::Drained& drained) {
        << ", \"wire_decode_ns\": " << r.trace.wire_decode_ns
        << ", \"queue_ns\": " << r.trace.queue_ns
        << ", \"parse_ns\": " << r.trace.parse_ns
-       << ", \"compile_ns\": " << r.trace.compile_ns
        << ", \"rewrite_ns\": " << r.trace.rewrite_ns
        << ", \"decide_ns\": " << r.trace.decide_ns
        << ", \"store_load_ns\": " << r.trace.store_load_ns

@@ -12,6 +12,12 @@
 
 namespace xpathsat {
 
+namespace {
+
+// Does L(re) contain a word with an occurrence of `target` in which every
+// symbol is terminating? This is the exact condition for `target` to appear
+// as a child of an A element (with P(A) = re) in some conforming tree
+// (Thm 4.1 edge relation).
 bool HasWordContaining(const Regex& re, const std::string& target,
                        const std::set<std::string>& term) {
   // usable(r): L(r) has a word whose symbols all terminate.
@@ -73,8 +79,6 @@ bool HasWordContaining(const Regex& re, const std::string& target,
   return with(re);
 }
 
-namespace {
-
 // Reflexive-transitive closure of `edges` over the keys of `closure` (which
 // must be pre-seeded with {a} per terminating type a).
 void CloseReflexiveTransitive(
@@ -94,22 +98,11 @@ void CloseReflexiveTransitive(
   }
 }
 
-}  // namespace
-
-const std::set<std::string>& LabelGraph::Edges(const std::string& type) const {
-  static const std::set<std::string> kEmpty;
-  auto it = edges.find(type);
-  return it == edges.end() ? kEmpty : it->second;
-}
-
-const std::set<std::string>& LabelGraph::Closure(
-    const std::string& type) const {
-  static const std::set<std::string> kEmpty;
-  auto it = closure.find(type);
-  return it == closure.end() ? kEmpty : it->second;
-}
-
-LabelGraph LabelGraph::Build(const Dtd& dtd) {
+// The label graph of `dtd` over its terminating types: an edge A -> B for
+// every symbol B of P(A) that `realizable(P(A), B, terminating)` admits,
+// plus the reflexive-transitive closure.
+template <typename EdgeRule>
+LabelGraph BuildLabelGraph(const Dtd& dtd, EdgeRule realizable) {
   LabelGraph g;
   g.terminating = dtd.TerminatingTypes();
   for (const ElementType& t : dtd.types()) {
@@ -117,9 +110,7 @@ LabelGraph LabelGraph::Build(const Dtd& dtd) {
     std::set<std::string> syms;
     t.content.CollectSymbols(&syms);
     for (const std::string& b : syms) {
-      if (HasWordContaining(t.content, b, g.terminating)) {
-        g.edges[t.name].insert(b);
-      }
+      if (realizable(t.content, b, g.terminating)) g.edges[t.name].insert(b);
     }
     g.closure[t.name].insert(t.name);
   }
@@ -127,31 +118,15 @@ LabelGraph LabelGraph::Build(const Dtd& dtd) {
   return g;
 }
 
-LabelGraph LabelGraph::BuildNormalizedDisjunctionFree(const Dtd& dtd) {
-  LabelGraph g;
-  g.terminating = dtd.TerminatingTypes();
-  for (const ElementType& t : dtd.types()) {
-    if (!g.terminating.count(t.name)) continue;
-    std::set<std::string> syms;
-    t.content.CollectSymbols(&syms);
-    for (const std::string& b : syms) {
-      // Normalized disjunction-free: concat children are mandatory (so all
-      // terminate if the parent does); star children exist iff terminating.
-      if (g.terminating.count(b)) g.edges[t.name].insert(b);
-    }
-    g.closure[t.name].insert(t.name);
-  }
-  CloseReflexiveTransitive(g.edges, &g.closure);
-  return g;
-}
-
+// Glushkov automata of every terminating type's content model, transitions
+// restricted to terminating symbols (only those children can exist in a
+// conforming tree).
 std::map<std::string, Nfa> BuildTerminatingRestrictedNfas(
     const Dtd& dtd, const std::set<std::string>& terminating) {
   std::map<std::string, Nfa> nfas;
   for (const ElementType& t : dtd.types()) {
     if (!terminating.count(t.name)) continue;
     Nfa nfa = BuildGlushkov(t.content);
-    // Restrict to terminating symbols: only those children can exist.
     for (auto& out : nfa.trans) {
       out.erase(std::remove_if(out.begin(), out.end(),
                                [&](const std::pair<std::string, int>& e) {
@@ -163,8 +138,6 @@ std::map<std::string, Nfa> BuildTerminatingRestrictedNfas(
   }
   return nfas;
 }
-
-namespace {
 
 // Cache key: the canonical printing (exact), a separator that cannot appear
 // in a printed query, then the raw 8 fingerprint bytes — the same shape as
@@ -181,13 +154,40 @@ std::string RewriteKey(const std::string& canonical, uint64_t fingerprint) {
   return key;
 }
 
-}  // namespace
-
-namespace {
 // Per-thread rewrite-work accumulator behind TakeThreadRewriteNs(). A plain
 // thread_local (no atomics): only the owning thread reads or writes it.
 thread_local uint64_t g_thread_rewrite_ns = 0;
+
+// The uncached Prop 3.3 rewrite, timed into this thread's accumulator.
+Result<std::shared_ptr<const PathExpr>> Rewrite(const PathExpr& p,
+                                                const CompiledDtd& compiled) {
+  const auto rewrite_start = std::chrono::steady_clock::now();
+  Result<std::unique_ptr<PathExpr>> rewritten =
+      RewriteForNormalizedDtd(p, compiled.dtd, compiled.norm);
+  g_thread_rewrite_ns += static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - rewrite_start)
+          .count());
+  if (!rewritten.ok()) {
+    return Result<std::shared_ptr<const PathExpr>>::Error(rewritten.error());
+  }
+  return std::shared_ptr<const PathExpr>(std::move(rewritten).value());
+}
+
 }  // namespace
+
+const std::set<std::string>& LabelGraph::Edges(const std::string& type) const {
+  static const std::set<std::string> kEmpty;
+  auto it = edges.find(type);
+  return it == edges.end() ? kEmpty : it->second;
+}
+
+const std::set<std::string>& LabelGraph::Closure(
+    const std::string& type) const {
+  static const std::set<std::string> kEmpty;
+  auto it = closure.find(type);
+  return it == closure.end() ? kEmpty : it->second;
+}
 
 RewriteCache::RewriteCache(size_t capacity, size_t num_shards)
     : cache_(capacity, num_shards) {}
@@ -209,48 +209,48 @@ Result<std::shared_ptr<const PathExpr>> RewriteCache::GetOrRewrite(
     // new artifacts take the fast path again — the verdict memo's pattern.
     if (entry.source != compiled.shared_dtd) {
       if (!entry.source->EquivalentTo(compiled.dtd)) return false;
-      if (compiled.shared_dtd != nullptr) entry.source = compiled.shared_dtd;
+      entry.source = compiled.shared_dtd;
     }
     served = entry.rewritten;
     return true;
   });
   if (served != nullptr) return served;
 
-  const auto rewrite_start = std::chrono::steady_clock::now();
-  Result<std::unique_ptr<PathExpr>> rewritten =
-      RewriteForNormalizedDtd(p, compiled.dtd, compiled.norm);
-  g_thread_rewrite_ns += static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - rewrite_start)
-          .count());
-  if (!rewritten.ok()) {
-    return Result<std::shared_ptr<const PathExpr>>::Error(rewritten.error());
-  }
-  std::shared_ptr<const PathExpr> result(std::move(rewritten).value());
-  Entry entry;
-  entry.source = compiled.shared_dtd != nullptr
-                     ? compiled.shared_dtd
-                     : std::make_shared<const Dtd>(compiled.dtd);
-  entry.rewritten = result;
+  Result<std::shared_ptr<const PathExpr>> result = Rewrite(p, compiled);
+  if (!result.ok()) return result;
   // Keep the incumbent on a race or a fingerprint collision: either way this
   // request serves the AST it just computed (identical on a race — the
   // rewrite is deterministic — and necessarily its own on a collision).
-  cache_.InsertIfAbsent(key, std::move(entry));
+  cache_.InsertIfAbsent(key, Entry{compiled.shared_dtd, result.value()});
   return result;
 }
 
+Result<std::shared_ptr<const PathExpr>> RewriteOntoNormalForm(
+    const PathExpr& p, const CompiledDtd& compiled, RewriteCache* cache) {
+  return cache != nullptr ? cache->GetOrRewrite(p, compiled)
+                          : Rewrite(p, compiled);
+}
+
+CompiledDtd::CompiledDtd(Dtd source)
+    : dtd(source),
+      shared_dtd(std::make_shared<const Dtd>(std::move(source))),
+      fingerprint(dtd.Fingerprint()) {}
+
 std::shared_ptr<const CompiledDtd> CompiledDtd::Compile(const Dtd& dtd) {
-  auto cd = std::make_shared<CompiledDtd>();
-  cd->dtd = dtd;
-  cd->shared_dtd = std::make_shared<const Dtd>(dtd);
-  cd->fingerprint = dtd.Fingerprint();
+  auto cd = std::make_shared<CompiledDtd>(dtd);
   cd->disjunction_free = dtd.IsDisjunctionFree();
-  cd->graph = LabelGraph::Build(dtd);
+  cd->graph = BuildLabelGraph(dtd, HasWordContaining);
   cd->min_sizes = MinimalExpansionSizes(dtd);
   cd->content_nfas = BuildTerminatingRestrictedNfas(dtd, cd->graph.terminating);
   cd->norm = NormalizeDtd(dtd);
   if (cd->disjunction_free) {
-    cd->norm_graph = LabelGraph::BuildNormalizedDisjunctionFree(cd->norm.dtd);
+    // Normalized disjunction-free: concat children are mandatory (so all
+    // terminate if the parent does); star children exist iff terminating.
+    cd->norm_graph = BuildLabelGraph(
+        cd->norm.dtd, [](const Regex&, const std::string& b,
+                         const std::set<std::string>& term) {
+          return term.count(b) > 0;
+        });
   }
   return cd;
 }

@@ -6,9 +6,9 @@
 // (Thm 7.1), the normal form N(D) of Prop 3.3, and minimal expansion sizes
 // for witness construction. In batch workloads thousands of queries share a
 // handful of DTDs, so CompiledDtd hoists all of that out of the per-query
-// path: compile once, decide many. The one-shot entry points
-// (ReachSat(p, dtd), DecideSatisfiability(p, dtd), ...) are unchanged and
-// keep building only what they need.
+// path: compile once, decide many. It is also the only way in: every
+// decider takes a CompiledDtd, and DecideSatisfiability(p, dtd) is Compile
+// followed by the same dispatch.
 #ifndef XPATHSAT_SAT_COMPILED_DTD_H_
 #define XPATHSAT_SAT_COMPILED_DTD_H_
 
@@ -28,13 +28,6 @@ namespace xpathsat {
 
 class PathExpr;
 
-/// Does L(re) contain a word with an occurrence of `target` in which every
-/// symbol is terminating? This is the exact condition for `target` to appear
-/// as a child of an A element (with P(A) = re) in some conforming tree
-/// (Thm 4.1 edge relation).
-bool HasWordContaining(const Regex& re, const std::string& target,
-                       const std::set<std::string>& term);
-
 /// The DTD graph restricted to realizable children, plus its
 /// reflexive-transitive closure over terminating types.
 struct LabelGraph {
@@ -45,31 +38,20 @@ struct LabelGraph {
   /// Edge / closure lookups that never mutate (safe to share across threads).
   const std::set<std::string>& Edges(const std::string& type) const;
   const std::set<std::string>& Closure(const std::string& type) const;
-
-  /// Realizable-child graph of an arbitrary DTD (HasWordContaining edges).
-  static LabelGraph Build(const Dtd& dtd);
-  /// Graph of a *normalized disjunction-free* DTD, where every mentioned
-  /// terminating symbol is realizable (concat children are mandatory, star
-  /// children optional) — the edge rule of the Thm 6.8(1) solver.
-  static LabelGraph BuildNormalizedDisjunctionFree(const Dtd& dtd);
 };
-
-/// Glushkov automata of every terminating type's content model, transitions
-/// restricted to terminating symbols (only those children can exist in a
-/// conforming tree). Shared by the Thm 7.1 one-shot path and Compile so the
-/// restriction rule cannot drift between them.
-std::map<std::string, Nfa> BuildTerminatingRestrictedNfas(
-    const Dtd& dtd, const std::set<std::string>& terminating);
 
 /// Immutable bundle of per-DTD artifacts. Compile once (O(|D|) up to the
 /// closure computation), then share across queries and threads via
 /// shared_ptr<const CompiledDtd>.
 struct CompiledDtd {
+  /// Sets `dtd`, `shared_dtd` and `fingerprint`; the artifacts below are
+  /// left for Compile (or the snapshot decoder) to fill in.
+  explicit CompiledDtd(Dtd source);
+
   Dtd dtd;               ///< the source DTD (owning copy)
   /// The same schema behind a shared_ptr, for caches that pin schema
   /// identity per entry (RewriteCache collision verification) — a refcount
-  /// bump per entry instead of a Dtd copy per entry. Set by Compile; may be
-  /// null on hand-built instances (callers fall back to copying `dtd`).
+  /// bump per entry instead of a Dtd copy per entry. Never null.
   std::shared_ptr<const Dtd> shared_dtd;
   uint64_t fingerprint;  ///< Dtd::Fingerprint() of `dtd` (the cache key)
   bool disjunction_free = false;
@@ -146,6 +128,12 @@ class RewriteCache {
   };
   ShardedLruCache<std::string, Entry> cache_;
 };
+
+/// f(p) over `compiled`'s normal form N(D), the Prop 3.3 step that starts
+/// the Thm 6.8(1), 6.8(2) and 4.4 pipelines: served from `cache` when it is
+/// non-null, computed afresh otherwise. The AST is the same either way.
+Result<std::shared_ptr<const PathExpr>> RewriteOntoNormalForm(
+    const PathExpr& p, const CompiledDtd& compiled, RewriteCache* cache);
 
 }  // namespace xpathsat
 

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "src/xml/normalize.h"
 #include "src/xpath/features.h"
 #include "src/xpath/rewrites.h"
 
@@ -128,69 +127,27 @@ class DjFreeSolver {
   std::map<std::pair<const void*, std::string>, bool> sat_;
 };
 
-Result<SatDecision> FragmentError() {
-  return Result<SatDecision>::Error(
-      "query outside X(down,ds,union,[]): negation/data/upward/sibling not "
-      "supported by the Thm 6.8(1) procedure");
-}
-
-// The DP over an already-rewritten f(p).
-Result<SatDecision> DjFreeDecide(const PathExpr& fp, const NormalizedDtd& norm,
-                                 const LabelGraph& norm_graph) {
-  DjFreeSolver solver(norm.dtd, norm_graph);
-  if (solver.Decide(fp)) {
-    return SatDecision::SatNoWitness("Thm 6.8(1) reach/sat DP (normalized)");
-  }
-  return SatDecision::Unsat("Thm 6.8(1) reach/sat DP (normalized)");
-}
-
-// The per-query pipeline over precomputed (original, normal form, graph).
-// Callers have already checked PathInFragment.
-Result<SatDecision> DjFreeImpl(const PathExpr& p, const Dtd& original,
-                               const NormalizedDtd& norm,
-                               const LabelGraph& norm_graph) {
-  Result<std::unique_ptr<PathExpr>> fp =
-      RewriteForNormalizedDtd(p, original, norm);
-  if (!fp.ok()) return Result<SatDecision>::Error(fp.error());
-  return DjFreeDecide(*fp.value(), norm, norm_graph);
-}
-
 }  // namespace
-
-Result<SatDecision> DisjunctionFreeSat(const PathExpr& p, const Dtd& dtd) {
-  if (!PathInFragment(p)) return FragmentError();  // before any DTD-side work
-  if (!dtd.IsDisjunctionFree()) {
-    return Result<SatDecision>::Error("DTD is not disjunction-free");
-  }
-  NormalizedDtd norm = NormalizeDtd(dtd);
-  LabelGraph graph = LabelGraph::BuildNormalizedDisjunctionFree(norm.dtd);
-  return DjFreeImpl(p, dtd, norm, graph);
-}
 
 Result<SatDecision> DisjunctionFreeSat(const PathExpr& p,
                                        const CompiledDtd& compiled,
                                        RewriteCache* rewrites) {
-  if (!PathInFragment(p)) return FragmentError();
+  if (!PathInFragment(p)) {
+    return Result<SatDecision>::Error(
+        "query outside X(down,ds,union,[]): negation/data/upward/sibling not "
+        "supported by the Thm 6.8(1) procedure");
+  }
   if (!compiled.disjunction_free) {
     return Result<SatDecision>::Error("DTD is not disjunction-free");
   }
-  if (rewrites != nullptr) {
-    Result<std::shared_ptr<const PathExpr>> fp =
-        rewrites->GetOrRewrite(p, compiled);
-    if (!fp.ok()) return Result<SatDecision>::Error(fp.error());
-    return DjFreeDecide(*fp.value(), compiled.norm, compiled.norm_graph);
+  Result<std::shared_ptr<const PathExpr>> fp =
+      RewriteOntoNormalForm(p, compiled, rewrites);
+  if (!fp.ok()) return Result<SatDecision>::Error(fp.error());
+  DjFreeSolver solver(compiled.norm.dtd, compiled.norm_graph);
+  if (solver.Decide(*fp.value())) {
+    return SatDecision::SatNoWitness("Thm 6.8(1) reach/sat DP (normalized)");
   }
-  return DjFreeImpl(p, compiled.dtd, compiled.norm, compiled.norm_graph);
-}
-
-Result<SatDecision> UpDownDisjunctionFreeSat(const PathExpr& p,
-                                             const Dtd& dtd) {
-  Result<UpDownRewrite> rw = RewriteUpDownToQualifiers(p);
-  if (!rw.ok()) return Result<SatDecision>::Error(rw.error());
-  if (rw.value().always_unsat) {
-    return SatDecision::Unsat("query ascends above the root (Thm 6.8(2))");
-  }
-  return DisjunctionFreeSat(*rw.value().path, dtd);
+  return SatDecision::Unsat("Thm 6.8(1) reach/sat DP (normalized)");
 }
 
 Result<SatDecision> UpDownDisjunctionFreeSat(const PathExpr& p,

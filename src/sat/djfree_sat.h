@@ -16,28 +16,21 @@
 
 namespace xpathsat {
 
-/// Decides (p, dtd) for p in X(↓,↓*,∪,[]) (label tests allowed; no negation,
-/// data values, upward or sibling axes) and disjunction-free `dtd`.
-Result<SatDecision> DisjunctionFreeSat(const PathExpr& p, const Dtd& dtd);
-
-/// Same decision over precompiled artifacts (normal form + normalized label
-/// graph); only the per-query f(p) rewriting and DP remain. Thread-safe for
-/// concurrent calls sharing one CompiledDtd. A non-null `rewrites` memoizes
-/// the Prop 3.3 f(p) rewriting across calls (the engine threads its sharded
-/// RewriteCache through here); verdicts are identical either way.
+/// Decides (p, D) for p in X(↓,↓*,∪,[]) (label tests allowed; no negation,
+/// data values, upward or sibling axes) and disjunction-free D, over the
+/// compiled normal form and its label graph; only the per-query f(p)
+/// rewriting and DP remain. Thread-safe for concurrent calls sharing one
+/// CompiledDtd. A non-null `rewrites` memoizes the f(p) rewriting across
+/// calls (see RewriteOntoNormalForm); verdicts are identical either way.
 Result<SatDecision> DisjunctionFreeSat(const PathExpr& p,
                                        const CompiledDtd& compiled,
                                        RewriteCache* rewrites = nullptr);
 
-/// Decides (p, dtd) for p in X(↓,↑) (steps only) and disjunction-free `dtd`,
-/// by rewriting into X(↓,[]) (Thm 6.8(2)) and delegating.
-Result<SatDecision> UpDownDisjunctionFreeSat(const PathExpr& p,
-                                             const Dtd& dtd);
-
-/// Precompiled-artifact variant of the Thm 6.8(2) procedure. `rewrites`
-/// memoizes the f(p) step of the delegated Thm 6.8(1) decision (keyed by the
-/// X(↓,[]) query the up/down rewriting produces, which is deterministic per
-/// input query).
+/// Decides (p, D) for p in X(↓,↑) (steps only) and disjunction-free D, by
+/// rewriting into X(↓,[]) (Thm 6.8(2)) and delegating. `rewrites` memoizes
+/// the f(p) step of the delegated Thm 6.8(1) decision (keyed by the X(↓,[])
+/// query the up/down rewriting produces, which is deterministic per input
+/// query).
 Result<SatDecision> UpDownDisjunctionFreeSat(const PathExpr& p,
                                              const CompiledDtd& compiled,
                                              RewriteCache* rewrites = nullptr);

@@ -27,13 +27,15 @@ bool InFragment(const PathExpr& p) {
 
 using ReachTable = std::map<const PathExpr*, std::map<std::string, std::set<std::string>>>;
 
-// The per-query DP over a (possibly shared, immutable) label graph. All
+// The per-query DP over a (possibly shared, immutable) compiled DTD. All
 // mutable state is solver-local so concurrent solvers can share one graph.
 class ReachSolver {
  public:
-  ReachSolver(const PathExpr& p, const Dtd& dtd, const LabelGraph& graph,
-              const std::map<std::string, long long>* min_sizes)
-      : p_(p), dtd_(dtd), graph_(graph), min_sizes_(min_sizes) {}
+  ReachSolver(const PathExpr& p, const CompiledDtd& compiled)
+      : p_(p),
+        dtd_(compiled.dtd),
+        graph_(compiled.graph),
+        min_sizes_(compiled.min_sizes) {}
 
   SatDecision Solve(bool build_witness) {
     if (!graph_.terminating.count(dtd_.root())) {
@@ -146,10 +148,6 @@ class ReachSolver {
 
   // Realizes the chain below the root and completes to a conforming tree.
   XmlTree RealizeChain(const std::vector<std::string>& chain) {
-    std::map<std::string, long long> local_sizes;
-    if (min_sizes_ == nullptr) local_sizes = MinimalExpansionSizes(dtd_);
-    const std::map<std::string, long long>& sizes =
-        min_sizes_ ? *min_sizes_ : local_sizes;
     XmlTree tree;
     NodeId cur = tree.CreateRoot(dtd_.root());
     std::vector<NodeId> pending;  // nodes needing minimal expansion
@@ -159,8 +157,8 @@ class ReachSolver {
       }
       std::vector<std::string> word;
       int tpos = 0;
-      if (!MinimalWordContaining(dtd_.Production(tree.label(cur)), next, sizes,
-                                 &word, &tpos)) {
+      if (!MinimalWordContaining(dtd_.Production(tree.label(cur)), next,
+                                 min_sizes_, &word, &tpos)) {
         break;  // unreachable by construction; keep the tree well formed
       }
       NodeId next_node = kNullNode;
@@ -182,30 +180,20 @@ class ReachSolver {
   const PathExpr& p_;
   const Dtd& dtd_;
   const LabelGraph& graph_;
-  const std::map<std::string, long long>* min_sizes_;
+  const std::map<std::string, long long>& min_sizes_;
   ReachTable table_;
 };
 
-Result<SatDecision> FragmentError() {
-  return Result<SatDecision>::Error(
-      "query outside X(down,ds,union): qualifiers/upward/sibling axes not "
-      "supported by the Thm 4.1 procedure");
-}
-
 }  // namespace
-
-Result<SatDecision> ReachSat(const PathExpr& p, const Dtd& dtd,
-                             bool build_witness) {
-  if (!InFragment(p)) return FragmentError();  // before the O(|D|²) setup
-  LabelGraph graph = LabelGraph::Build(dtd);
-  return ReachSolver(p, dtd, graph, nullptr).Solve(build_witness);
-}
 
 Result<SatDecision> ReachSat(const PathExpr& p, const CompiledDtd& compiled,
                              bool build_witness) {
-  if (!InFragment(p)) return FragmentError();
-  return ReachSolver(p, compiled.dtd, compiled.graph, &compiled.min_sizes)
-      .Solve(build_witness);
+  if (!InFragment(p)) {
+    return Result<SatDecision>::Error(
+        "query outside X(down,ds,union): qualifiers/upward/sibling axes not "
+        "supported by the Thm 4.1 procedure");
+  }
+  return ReachSolver(p, compiled).Solve(build_witness);
 }
 
 }  // namespace xpathsat

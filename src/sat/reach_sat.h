@@ -15,15 +15,11 @@
 
 namespace xpathsat {
 
-/// Decides satisfiability of (p, dtd) for p in X(↓,↓*,∪) (no qualifiers, no
-/// data values, no upward or sibling axes). O(|p| · |D|²) after edge setup.
-/// Returns an error if p is outside the fragment. Produces the Tree(p, D)
-/// witness on kSat unless `build_witness` is false (the realization costs
-/// more than the reach DP; verdict-only callers skip it).
-Result<SatDecision> ReachSat(const PathExpr& p, const Dtd& dtd,
-                             bool build_witness = true);
-
-/// Same decision over precompiled artifacts: skips the edge/closure setup.
+/// Decides satisfiability of (p, D) for p in X(↓,↓*,∪) (no qualifiers, no
+/// data values, no upward or sibling axes). O(|p| · |D|²) over the compiled
+/// label graph. Returns an error if p is outside the fragment. Produces the
+/// Tree(p, D) witness on kSat unless `build_witness` is false (the
+/// realization costs more than the reach DP; verdict-only callers skip it).
 /// Thread-safe for concurrent calls sharing one CompiledDtd.
 Result<SatDecision> ReachSat(const PathExpr& p, const CompiledDtd& compiled,
                              bool build_witness = true);

@@ -22,73 +22,6 @@ SatReport Report(SatDecision d, std::string algorithm) {
   return r;
 }
 
-// The Sec. 8 dispatch, written once for all entry points: `compiled` is
-// null for the one-shot facade (each decider builds its own DTD artifacts)
-// and non-null for the batch engine (artifacts reused across queries).
-// `rewrite_cache` (engine path only) memoizes the Prop 3.3 f(p) rewriting
-// inside the deciders that use it.
-SatReport Dispatch(const PathExpr& p, const Features& f, const Dtd& dtd,
-                   const CompiledDtd* compiled, const SatOptions& options,
-                   RewriteCache* rewrite_cache) {
-
-  // X(↓,↓*,∪): Thm 4.1 (PTIME).
-  if (!f.qualifier && !f.negation && !f.data_values && !f.HasUpward() &&
-      !f.HasSibling()) {
-    Result<SatDecision> r = compiled
-                                ? ReachSat(p, *compiled, options.compute_witness)
-                                : ReachSat(p, dtd, options.compute_witness);
-    if (r.ok()) return Report(std::move(r).value(), "reach-dp (Thm 4.1)");
-  }
-
-  // X(→,←) chains: Thm 7.1 (PTIME).
-  if (!f.qualifier && !f.negation && !f.data_values && !f.HasUpward() &&
-      !f.descendant && !f.union_op && !f.right_sib_star && !f.left_sib_star) {
-    Result<SatDecision> r =
-        compiled ? SiblingChainSat(p, *compiled) : SiblingChainSat(p, dtd);
-    if (r.ok()) return Report(std::move(r).value(), "sibling-nfa (Thm 7.1)");
-  }
-
-  // Disjunction-free DTDs: Thm 6.8 (PTIME).
-  bool disjunction_free =
-      compiled ? compiled->disjunction_free : dtd.IsDisjunctionFree();
-  if (disjunction_free && !f.negation && !f.data_values && !f.HasSibling()) {
-    if (!f.HasUpward()) {
-      Result<SatDecision> r =
-          compiled ? DisjunctionFreeSat(p, *compiled, rewrite_cache)
-                   : DisjunctionFreeSat(p, dtd);
-      if (r.ok()) return Report(std::move(r).value(), "djfree-dp (Thm 6.8(1))");
-    } else if (!f.qualifier && !f.union_op && !f.HasRecursion()) {
-      Result<SatDecision> r =
-          compiled ? UpDownDisjunctionFreeSat(p, *compiled, rewrite_cache)
-                   : UpDownDisjunctionFreeSat(p, dtd);
-      if (r.ok()) {
-        return Report(std::move(r).value(), "updown-rewrite (Thm 6.8(2))");
-      }
-    }
-  }
-
-  // Positive fragment: Thm 4.4 (NP).
-  if (f.IsPositive() && !f.HasSibling()) {
-    Result<SatDecision> r =
-        compiled
-            ? SkeletonSat(p, *compiled, options.skeleton_caps, rewrite_cache)
-            : SkeletonSat(p, dtd, options.skeleton_caps);
-    if (r.ok()) return Report(std::move(r).value(), "skeleton (Thm 4.4)");
-  }
-
-  // Negation (and/or sibling axes): bounded-model search with small-model
-  // bounds where the paper provides them.
-  DerivedBounds bounds = DeriveBoundsChecked(p, dtd, options.bounded_caps);
-  SatDecision d = BoundedModelSat(p, dtd, bounds.options);
-  if (d.unsat() && !bounds.complete) {
-    // The caps clipped the justified small-model bounds (or none applies):
-    // exhausting the clipped space proves nothing.
-    d.verdict = SatVerdict::kUnknown;
-    d.note += "; bounded space not known to be exhaustive";
-  }
-  return Report(std::move(d), "bounded-model (Thm 5.5 / Cor 6.2 bounds)");
-}
-
 }  // namespace
 
 uint64_t SatOptions::Digest() const {
@@ -111,22 +44,69 @@ uint64_t SatOptions::Digest() const {
 
 SatReport DecideSatisfiability(const PathExpr& p, const Dtd& dtd,
                                const SatOptions& options) {
-  return Dispatch(p, DetectFeatures(p), dtd, nullptr, options, nullptr);
+  return DecideSatisfiability(p, *CompiledDtd::Compile(dtd), options);
 }
 
 SatReport DecideSatisfiability(const PathExpr& p, const CompiledDtd& compiled,
                                const SatOptions& options,
                                RewriteCache* rewrite_cache) {
-  return Dispatch(p, DetectFeatures(p), compiled.dtd, &compiled, options,
-                  rewrite_cache);
+  return DecideSatisfiability(p, DetectFeatures(p), compiled, options,
+                              rewrite_cache);
 }
 
-SatReport DecideSatisfiability(const PathExpr& p, const Features& features,
+// The Sec. 8 dispatch: the one decide path behind every entry point.
+SatReport DecideSatisfiability(const PathExpr& p, const Features& f,
                                const CompiledDtd& compiled,
                                const SatOptions& options,
                                RewriteCache* rewrite_cache) {
-  return Dispatch(p, features, compiled.dtd, &compiled, options,
-                  rewrite_cache);
+  // X(↓,↓*,∪): Thm 4.1 (PTIME).
+  if (!f.qualifier && !f.negation && !f.data_values && !f.HasUpward() &&
+      !f.HasSibling()) {
+    Result<SatDecision> r = ReachSat(p, compiled, options.compute_witness);
+    if (r.ok()) return Report(std::move(r).value(), "reach-dp (Thm 4.1)");
+  }
+
+  // X(→,←) chains: Thm 7.1 (PTIME).
+  if (!f.qualifier && !f.negation && !f.data_values && !f.HasUpward() &&
+      !f.descendant && !f.union_op && !f.right_sib_star && !f.left_sib_star) {
+    Result<SatDecision> r = SiblingChainSat(p, compiled);
+    if (r.ok()) return Report(std::move(r).value(), "sibling-nfa (Thm 7.1)");
+  }
+
+  // Disjunction-free DTDs: Thm 6.8 (PTIME).
+  if (compiled.disjunction_free && !f.negation && !f.data_values &&
+      !f.HasSibling()) {
+    if (!f.HasUpward()) {
+      Result<SatDecision> r = DisjunctionFreeSat(p, compiled, rewrite_cache);
+      if (r.ok()) return Report(std::move(r).value(), "djfree-dp (Thm 6.8(1))");
+    } else if (!f.qualifier && !f.union_op && !f.HasRecursion()) {
+      Result<SatDecision> r =
+          UpDownDisjunctionFreeSat(p, compiled, rewrite_cache);
+      if (r.ok()) {
+        return Report(std::move(r).value(), "updown-rewrite (Thm 6.8(2))");
+      }
+    }
+  }
+
+  // Positive fragment: Thm 4.4 (NP).
+  if (f.IsPositive() && !f.HasSibling()) {
+    Result<SatDecision> r =
+        SkeletonSat(p, compiled, options.skeleton_caps, rewrite_cache);
+    if (r.ok()) return Report(std::move(r).value(), "skeleton (Thm 4.4)");
+  }
+
+  // Negation (and/or sibling axes): bounded-model search with small-model
+  // bounds where the paper provides them.
+  DerivedBounds bounds =
+      DeriveBoundsChecked(p, compiled.dtd, options.bounded_caps);
+  SatDecision d = BoundedModelSat(p, compiled.dtd, bounds.options);
+  if (d.unsat() && !bounds.complete) {
+    // The caps clipped the justified small-model bounds (or none applies):
+    // exhausting the clipped space proves nothing.
+    d.verdict = SatVerdict::kUnknown;
+    d.note += "; bounded space not known to be exhaustive";
+  }
+  return Report(std::move(d), "bounded-model (Thm 5.5 / Cor 6.2 bounds)");
 }
 
 SatReport DecideSatisfiabilityNoDtd(const PathExpr& p,

@@ -70,15 +70,15 @@ struct SatOptions {
   uint64_t Digest() const;
 };
 
-/// SAT(X): is there a tree T with T |= D and T |= p?
+/// SAT(X): is there a tree T with T |= D and T |= p? Compiles `dtd` and
+/// runs the dispatch below; callers deciding many queries against one DTD
+/// compile it once and use the CompiledDtd overloads instead.
 SatReport DecideSatisfiability(const PathExpr& p, const Dtd& dtd,
                                const SatOptions& options = {});
 
-/// Same dispatch over precompiled per-DTD artifacts: the fragment routing is
-/// identical (same verdicts, same algorithms), but the DTD-side setup the
-/// deciders normally rebuild per call is reused. Thread-safe for concurrent
-/// calls sharing one CompiledDtd; used by the batch SatEngine. A non-null
-/// `rewrite_cache` additionally memoizes the Prop 3.3 f(p) rewriting of the
+/// The dispatch over precompiled per-DTD artifacts. Thread-safe for
+/// concurrent calls sharing one CompiledDtd; used by the batch SatEngine. A
+/// non-null `rewrite_cache` memoizes the Prop 3.3 f(p) rewriting of the
 /// Thm 6.8(1)/6.8(2)/4.4 pipelines across calls (the engine threads its
 /// sharded cache through here); verdicts are identical either way.
 SatReport DecideSatisfiability(const PathExpr& p, const CompiledDtd& compiled,

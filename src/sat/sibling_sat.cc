@@ -70,15 +70,16 @@ bool MakeGroups(const std::vector<const PathExpr*>& steps,
   return true;
 }
 
-// The level-by-level chain check over precomputed terminating-restricted
+// The level-by-level chain check over the compiled terminating-restricted
 // Glushkov automata (possibly shared across threads — the memo is
 // solver-local).
 class SiblingSolver {
  public:
-  SiblingSolver(const Dtd& dtd, const std::vector<Group>& groups,
-                const std::set<std::string>& term,
-                const std::map<std::string, Nfa>& nfas)
-      : dtd_(dtd), groups_(groups), term_(term), nfas_(nfas) {}
+  SiblingSolver(const CompiledDtd& compiled, const std::vector<Group>& groups)
+      : dtd_(compiled.dtd),
+        groups_(groups),
+        term_(compiled.graph.terminating),
+        nfas_(compiled.content_nfas) {}
 
   bool Solve() {
     if (!term_.count(dtd_.root())) return false;
@@ -234,61 +235,25 @@ class SiblingSolver {
   std::map<std::pair<size_t, std::string>, bool> memo_;
 };
 
-// Parses the query into groups (or a fragment/root-sibling outcome) so both
-// entry points can reject before any DTD-side work.
-struct ParsedChain {
-  bool in_fragment = false;
-  bool root_sibling = false;
-  std::vector<Group> groups;
-};
-
-ParsedChain ParseChain(const PathExpr& p) {
-  ParsedChain out;
-  std::vector<const PathExpr*> steps;
-  if (!Flatten(p, &steps)) return out;
-  if (!MakeGroups(steps, &out.groups, &out.root_sibling)) return out;
-  out.in_fragment = true;
-  return out;
-}
-
-Result<SatDecision> SiblingChainSatImpl(const ParsedChain& chain,
-                                        const Dtd& dtd,
-                                        const std::set<std::string>& term,
-                                        const std::map<std::string, Nfa>& nfas) {
-  if (chain.root_sibling) {
-    return SatDecision::Unsat("sibling move at the root (Thm 7.1)");
-  }
-  if (SiblingSolver(dtd, chain.groups, term, nfas).Solve()) {
-    return SatDecision::SatNoWitness("Thm 7.1 NFA chain procedure");
-  }
-  return SatDecision::Unsat("Thm 7.1 NFA chain procedure");
-}
-
-Result<SatDecision> FragmentError() {
-  return Result<SatDecision>::Error(
-      "query outside X(sib): only label, wildcard, ->, <- steps allowed by "
-      "the Thm 7.1 procedure");
-}
-
 }  // namespace
-
-Result<SatDecision> SiblingChainSat(const PathExpr& p, const Dtd& dtd) {
-  ParsedChain chain = ParseChain(p);
-  if (!chain.in_fragment) return FragmentError();  // before NFA construction
-  if (chain.root_sibling) {
-    return SatDecision::Unsat("sibling move at the root (Thm 7.1)");
-  }
-  std::set<std::string> term = dtd.TerminatingTypes();
-  std::map<std::string, Nfa> nfas = BuildTerminatingRestrictedNfas(dtd, term);
-  return SiblingChainSatImpl(chain, dtd, term, nfas);
-}
 
 Result<SatDecision> SiblingChainSat(const PathExpr& p,
                                     const CompiledDtd& compiled) {
-  ParsedChain chain = ParseChain(p);
-  if (!chain.in_fragment) return FragmentError();
-  return SiblingChainSatImpl(chain, compiled.dtd, compiled.graph.terminating,
-                             compiled.content_nfas);
+  std::vector<const PathExpr*> steps;
+  std::vector<Group> groups;
+  bool root_sibling = false;
+  if (!Flatten(p, &steps) || !MakeGroups(steps, &groups, &root_sibling)) {
+    return Result<SatDecision>::Error(
+        "query outside X(sib): only label, wildcard, ->, <- steps allowed by "
+        "the Thm 7.1 procedure");
+  }
+  if (root_sibling) {
+    return SatDecision::Unsat("sibling move at the root (Thm 7.1)");
+  }
+  if (SiblingSolver(compiled, groups).Solve()) {
+    return SatDecision::SatNoWitness("Thm 7.1 NFA chain procedure");
+  }
+  return SatDecision::Unsat("Thm 7.1 NFA chain procedure");
 }
 
 }  // namespace xpathsat

@@ -19,12 +19,10 @@
 
 namespace xpathsat {
 
-/// Decides (p, dtd) for p in X(→,←) extended with wildcard downward steps.
-/// Returns an error if p is outside the fragment.
-Result<SatDecision> SiblingChainSat(const PathExpr& p, const Dtd& dtd);
-
-/// Same decision over precompiled content-model automata. Thread-safe for
-/// concurrent calls sharing one CompiledDtd.
+/// Decides (p, D) for p in X(→,←) extended with wildcard downward steps,
+/// over the compiled content-model automata. Returns an error if p is
+/// outside the fragment. Thread-safe for concurrent calls sharing one
+/// CompiledDtd.
 Result<SatDecision> SiblingChainSat(const PathExpr& p,
                                     const CompiledDtd& compiled);
 

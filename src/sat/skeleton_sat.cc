@@ -7,7 +7,6 @@
 #include "src/xml/generator.h"
 #include "src/xml/normalize.h"
 #include "src/xpath/evaluator.h"
-#include "src/xpath/rewrites.h"
 
 namespace xpathsat {
 
@@ -605,31 +604,18 @@ class SkeletonSearch {
 
 }  // namespace
 
-// The per-query search over a (possibly precomputed) normal form. `compiled`
-// and `rewrites` are both non-null only on the engine path, where the f(p)
-// rewriting is served from the sharded RewriteCache instead of recomputed.
-static Result<SatDecision> SkeletonSatImpl(const PathExpr& p, const Dtd& dtd,
-                                           const NormalizedDtd& norm,
-                                           const SkeletonSatOptions& options,
-                                           const CompiledDtd* compiled,
-                                           RewriteCache* rewrites) {
+Result<SatDecision> SkeletonSat(const PathExpr& p, const CompiledDtd& compiled,
+                                const SkeletonSatOptions& options,
+                                RewriteCache* rewrites) {
   if (!PathPositive(p)) {
     return Result<SatDecision>::Error(
         "query outside the positive fragment X(down,ds,up,as,union,[],=): "
         "negation/sibling axes not supported by the Thm 4.4 procedure");
   }
-  std::shared_ptr<const PathExpr> fp;
-  if (rewrites != nullptr && compiled != nullptr) {
-    Result<std::shared_ptr<const PathExpr>> r =
-        rewrites->GetOrRewrite(p, *compiled);
-    if (!r.ok()) return Result<SatDecision>::Error(r.error());
-    fp = std::move(r).value();
-  } else {
-    Result<std::unique_ptr<PathExpr>> r =
-        RewriteForNormalizedDtd(p, dtd, norm);
-    if (!r.ok()) return Result<SatDecision>::Error(r.error());
-    fp = std::shared_ptr<const PathExpr>(std::move(r).value());
-  }
+  Result<std::shared_ptr<const PathExpr>> fp =
+      RewriteOntoNormalForm(p, compiled, rewrites);
+  if (!fp.ok()) return Result<SatDecision>::Error(fp.error());
+  const NormalizedDtd& norm = compiled.norm;
   int psize = p.Size();
   int dsize = norm.dtd.Size();
   int max_nodes =
@@ -637,14 +623,13 @@ static Result<SatDecision> SkeletonSatImpl(const PathExpr& p, const Dtd& dtd,
   // With the per-type repeat cap, a single connecting chain never needs more
   // than cap·#types steps; clamp for practicality (Lemma 4.5 gives
   // (3|p|−1)|D| in the worst case).
-  (void)dsize;
   int max_desc =
       options.max_desc_len > 0
           ? options.max_desc_len
           : std::min(64, options.desc_repeat_cap *
                                  static_cast<int>(norm.dtd.types().size()) +
                              2);
-  SkeletonSearch search(*fp, norm.dtd, norm.new_types, options);
+  SkeletonSearch search(*fp.value(), norm.dtd, norm.new_types, options);
   search.SetBounds(max_nodes, max_desc);
   SatDecision d = search.Run();
   if (d.sat() && d.witness.has_value()) {
@@ -652,19 +637,6 @@ static Result<SatDecision> SkeletonSatImpl(const PathExpr& p, const Dtd& dtd,
     d.witness = DenormalizeTree(*d.witness, norm);
   }
   return d;
-}
-
-Result<SatDecision> SkeletonSat(const PathExpr& p, const Dtd& dtd,
-                                const SkeletonSatOptions& options) {
-  return SkeletonSatImpl(p, dtd, NormalizeDtd(dtd), options, nullptr,
-                         nullptr);
-}
-
-Result<SatDecision> SkeletonSat(const PathExpr& p, const CompiledDtd& compiled,
-                                const SkeletonSatOptions& options,
-                                RewriteCache* rewrites) {
-  return SkeletonSatImpl(p, compiled.dtd, compiled.norm, options, &compiled,
-                         rewrites);
 }
 
 }  // namespace xpathsat

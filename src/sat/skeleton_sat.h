@@ -40,15 +40,12 @@ struct SkeletonSatOptions {
   long long max_steps = 20000000;
 };
 
-/// Decides (p, dtd) for positive p (no negation; data values, qualifiers,
-/// union, upward and recursive axes all allowed; no sibling axes).
-Result<SatDecision> SkeletonSat(const PathExpr& p, const Dtd& dtd,
-                                const SkeletonSatOptions& options = {});
-
-/// Same decision reusing the precompiled normal form N(D). Thread-safe for
-/// concurrent calls sharing one CompiledDtd. A non-null `rewrites` memoizes
-/// the Prop 3.3 f(p) rewriting across calls (the engine threads its sharded
-/// RewriteCache through here); verdicts are identical either way.
+/// Decides (p, D) for positive p (no negation; data values, qualifiers,
+/// union, upward and recursive axes all allowed; no sibling axes), searching
+/// over the compiled normal form N(D). Thread-safe for concurrent calls
+/// sharing one CompiledDtd. A non-null `rewrites` memoizes the f(p)
+/// rewriting across calls (see RewriteOntoNormalForm); verdicts are
+/// identical either way.
 Result<SatDecision> SkeletonSat(const PathExpr& p, const CompiledDtd& compiled,
                                 const SkeletonSatOptions& options = {},
                                 RewriteCache* rewrites = nullptr);

@@ -475,7 +475,6 @@ Result<std::shared_ptr<const CompiledDtd>> DecodeCompiledDtdRecord(
     const std::string& payload) {
   using R = Result<std::shared_ptr<const CompiledDtd>>;
   ByteReader r(payload);
-  auto compiled = std::make_shared<CompiledDtd>();
 
   std::string dtd_text;
   uint64_t fingerprint = 0;
@@ -490,12 +489,10 @@ Result<std::shared_ptr<const CompiledDtd>> DecodeCompiledDtdRecord(
   // by must be derivable from its own schema text. A forged or drifted key
   // is rejected here, so memo entries resolved against this record can rely
   // on the fingerprint meaning what it claims.
-  if (dtd.value().Fingerprint() != fingerprint) {
+  auto compiled = std::make_shared<CompiledDtd>(std::move(dtd).value());
+  if (compiled->fingerprint != fingerprint) {
     return R::Error("fingerprint does not match the embedded DTD");
   }
-  compiled->dtd = std::move(dtd).value();
-  compiled->shared_dtd = std::make_shared<const Dtd>(compiled->dtd);
-  compiled->fingerprint = fingerprint;
 
   if (!r.ReadBool(&compiled->disjunction_free) ||
       !ReadLabelGraph(&r, &compiled->graph) ||

@@ -1,6 +1,8 @@
-// CompiledDtd artifacts must be faithful: every decider's compiled-artifact
-// overload agrees with its one-shot entry point, and the compiled dispatch
-// agrees with the facade, on randomized instances.
+// CompiledDtd artifacts must be faithful to the source DTD, and every
+// decider must decide the same over an artifact that is shared, cached or
+// restored from a snapshot as over one compiled for a single call. The
+// deciders themselves are checked against the bounded-model oracle in
+// property_test and the per-decider suites.
 #include <gtest/gtest.h>
 
 #include "src/sat/compiled_dtd.h"
@@ -9,6 +11,7 @@
 #include "src/sat/satisfiability.h"
 #include "src/sat/sibling_sat.h"
 #include "src/sat/skeleton_sat.h"
+#include "src/store/snapshot.h"
 #include "tests/test_util.h"
 
 namespace xpathsat {
@@ -20,6 +23,8 @@ TEST(CompiledDtdTest, FieldsMatchTheSourceDtd) {
       "attrs A: x\n");
   auto cd = CompiledDtd::Compile(d);
   EXPECT_EQ(cd->fingerprint, d.Fingerprint());
+  ASSERT_NE(cd->shared_dtd, nullptr);
+  EXPECT_TRUE(cd->shared_dtd->EquivalentTo(d));
   EXPECT_EQ(cd->disjunction_free, d.IsDisjunctionFree());
   EXPECT_EQ(cd->graph.terminating, d.TerminatingTypes());
   // C never terminates: no NFA, no graph node, no minimal size for it.
@@ -44,34 +49,72 @@ TEST(CompiledDtdTest, RealizableEdgesRespectNontermination) {
   EXPECT_TRUE(cd->graph.Closure("r").count("r"));
 }
 
+// --- Artifact reuse and snapshot parity ------------------------------------
+//
+// The engine compiles a DTD once, shares the artifact across every query and
+// thread, memoizes f(p) in a RewriteCache, and restores artifacts from
+// snapshots on restart. Each decider must return the same verdict there as
+// on the one-shot path: a CompiledDtd::Compile made for that single call and
+// no rewrite cache.
+
 class CompiledAgreement : public ::testing::TestWithParam<int> {};
+
+// One schema as the engine holds it: compiled once, plus the same artifact
+// after a snapshot encode/decode round trip.
+struct HeldArtifacts {
+  std::shared_ptr<const CompiledDtd> shared;
+  std::shared_ptr<const CompiledDtd> restored;
+};
+
+HeldArtifacts Hold(const Dtd& d) {
+  HeldArtifacts held;
+  held.shared = CompiledDtd::Compile(d);
+  Result<std::shared_ptr<const CompiledDtd>> decoded =
+      store::DecodeCompiledDtdRecord(
+          store::EncodeCompiledDtdRecord(*held.shared));
+  EXPECT_TRUE(decoded.ok()) << decoded.error() << "\n" << d.ToString();
+  held.restored = decoded.ok() ? decoded.value() : held.shared;
+  return held;
+}
+
+// Asserts `held` agrees with `one_shot` on status and verdict.
+void ExpectSameDecision(const Result<SatDecision>& one_shot,
+                        const Result<SatDecision>& held, const char* what,
+                        const PathExpr& p, const Dtd& d) {
+  ASSERT_EQ(one_shot.ok(), held.ok()) << what << ": " << p.ToString();
+  if (!one_shot.ok()) return;
+  EXPECT_EQ(one_shot.value().verdict, held.value().verdict)
+      << what << ": " << p.ToString() << "\n" << d.ToString();
+}
 
 TEST_P(CompiledAgreement, ReachSatMatchesOneShot) {
   Rng rng(GetParam() * 131 + 3);
   std::vector<std::string> labels = {"A", "B", "C", "r"};
   RandomPathOptions opt;
   opt.allow_filter = false;
-  for (int round = 0; round < 10; ++round) {
+  for (int round = 0; round < 5; ++round) {
     Dtd d = RandomDtd(&rng, rng.Percent(40));
-    auto cd = CompiledDtd::Compile(d);
-    auto p = RandomPath(&rng, labels, 3, opt);
-    Result<SatDecision> slow = ReachSat(*p, d);
-    Result<SatDecision> fast = ReachSat(*p, *cd);
-    ASSERT_EQ(slow.ok(), fast.ok()) << p->ToString();
-    if (!slow.ok()) continue;
-    EXPECT_EQ(slow.value().verdict, fast.value().verdict)
-        << p->ToString() << "\n" << d.ToString();
-    // Witness-skipping must not change the verdict either.
-    Result<SatDecision> nowit = ReachSat(*p, *cd, /*build_witness=*/false);
-    ASSERT_TRUE(nowit.ok());
-    EXPECT_EQ(slow.value().verdict, nowit.value().verdict);
-    if (nowit.value().sat()) {
-      EXPECT_FALSE(nowit.value().witness.has_value());
-    }
-    if (fast.value().sat()) {
-      ASSERT_TRUE(fast.value().witness.has_value());
-      EXPECT_TRUE(d.Validate(*fast.value().witness).ok())
-          << p->ToString() << "\n" << d.ToString();
+    HeldArtifacts held = Hold(d);
+    for (int q = 0; q < 2; ++q) {
+      auto p = RandomPath(&rng, labels, 3, opt);
+      Result<SatDecision> one_shot = ReachSat(*p, *CompiledDtd::Compile(d));
+      ExpectSameDecision(one_shot, ReachSat(*p, *held.shared), "shared", *p,
+                         d);
+      ExpectSameDecision(one_shot, ReachSat(*p, *held.restored), "restored",
+                         *p, d);
+      if (!one_shot.ok()) continue;
+      // Witness-skipping must not change the verdict either.
+      Result<SatDecision> nowit =
+          ReachSat(*p, *held.restored, /*build_witness=*/false);
+      ExpectSameDecision(one_shot, nowit, "no witness", *p, d);
+      if (nowit.ok() && nowit.value().sat()) {
+        EXPECT_FALSE(nowit.value().witness.has_value());
+      }
+      if (one_shot.value().sat()) {
+        ASSERT_TRUE(one_shot.value().witness.has_value());
+        EXPECT_TRUE(d.Validate(*one_shot.value().witness).ok())
+            << p->ToString() << "\n" << d.ToString();
+      }
     }
   }
 }
@@ -79,47 +122,53 @@ TEST_P(CompiledAgreement, ReachSatMatchesOneShot) {
 TEST_P(CompiledAgreement, SiblingChainSatMatchesOneShot) {
   Rng rng(GetParam() * 137 + 5);
   std::vector<std::string> labels = {"A", "B", "C", "r"};
-  for (int round = 0; round < 10; ++round) {
+  for (int round = 0; round < 5; ++round) {
     Dtd d = RandomDtd(&rng, rng.Percent(40));
-    auto cd = CompiledDtd::Compile(d);
-    // Random chain in the Thm 7.1 fragment.
-    std::unique_ptr<PathExpr> p;
-    int levels = rng.IntIn(1, 3);
-    for (int level = 0; level < levels; ++level) {
-      std::unique_ptr<PathExpr> step =
-          rng.Percent(30) ? PathExpr::Axis(PathKind::kChildAny)
-                          : PathExpr::Label(labels[rng.Below(labels.size())]);
-      p = p ? PathExpr::Seq(std::move(p), std::move(step)) : std::move(step);
-      int moves = rng.IntIn(0, 2);
-      for (int m = 0; m < moves; ++m) {
-        p = PathExpr::Seq(std::move(p),
-                          PathExpr::Axis(rng.Percent(50) ? PathKind::kRightSib
-                                                         : PathKind::kLeftSib));
+    HeldArtifacts held = Hold(d);
+    for (int q = 0; q < 2; ++q) {
+      // Random chain in the Thm 7.1 fragment.
+      std::unique_ptr<PathExpr> p;
+      int levels = rng.IntIn(1, 3);
+      for (int level = 0; level < levels; ++level) {
+        std::unique_ptr<PathExpr> step =
+            rng.Percent(30) ? PathExpr::Axis(PathKind::kChildAny)
+                            : PathExpr::Label(labels[rng.Below(labels.size())]);
+        p = p ? PathExpr::Seq(std::move(p), std::move(step)) : std::move(step);
+        int moves = rng.IntIn(0, 2);
+        for (int m = 0; m < moves; ++m) {
+          p = PathExpr::Seq(
+              std::move(p), PathExpr::Axis(rng.Percent(50) ? PathKind::kRightSib
+                                                           : PathKind::kLeftSib));
+        }
       }
+      Result<SatDecision> one_shot =
+          SiblingChainSat(*p, *CompiledDtd::Compile(d));
+      ExpectSameDecision(one_shot, SiblingChainSat(*p, *held.shared), "shared",
+                         *p, d);
+      ExpectSameDecision(one_shot, SiblingChainSat(*p, *held.restored),
+                         "restored", *p, d);
     }
-    Result<SatDecision> slow = SiblingChainSat(*p, d);
-    Result<SatDecision> fast = SiblingChainSat(*p, *cd);
-    ASSERT_EQ(slow.ok(), fast.ok()) << p->ToString();
-    if (!slow.ok()) continue;
-    EXPECT_EQ(slow.value().verdict, fast.value().verdict)
-        << p->ToString() << "\n" << d.ToString();
   }
 }
 
 TEST_P(CompiledAgreement, DisjunctionFreeSatMatchesOneShot) {
   Rng rng(GetParam() * 139 + 7);
   std::vector<std::string> labels = {"A", "B", "C", "r"};
+  RewriteCache rewrites(64);
   for (int round = 0; round < 10; ++round) {
     Dtd d = RandomDtd(&rng, /*recursive=*/false);
     if (!d.IsDisjunctionFree()) continue;
-    auto cd = CompiledDtd::Compile(d);
+    HeldArtifacts held = Hold(d);
     auto p = RandomPath(&rng, labels, 3);
-    Result<SatDecision> slow = DisjunctionFreeSat(*p, d);
-    Result<SatDecision> fast = DisjunctionFreeSat(*p, *cd);
-    ASSERT_EQ(slow.ok(), fast.ok()) << p->ToString();
-    if (!slow.ok()) continue;
-    EXPECT_EQ(slow.value().verdict, fast.value().verdict)
-        << p->ToString() << "\n" << d.ToString();
+    Result<SatDecision> one_shot =
+        DisjunctionFreeSat(*p, *CompiledDtd::Compile(d));
+    // The first cached call computes f(p); the second is served by the
+    // cache, over the restored artifact of the same schema.
+    ExpectSameDecision(one_shot, DisjunctionFreeSat(*p, *held.shared, &rewrites),
+                       "shared, cache miss", *p, d);
+    ExpectSameDecision(one_shot,
+                       DisjunctionFreeSat(*p, *held.restored, &rewrites),
+                       "restored, cache hit", *p, d);
   }
 }
 
@@ -129,16 +178,16 @@ TEST_P(CompiledAgreement, SkeletonSatMatchesOneShot) {
   RandomPathOptions opt;
   opt.allow_upward = true;
   opt.allow_data = true;
+  RewriteCache rewrites(64);
   for (int round = 0; round < 6; ++round) {
     Dtd d = RandomDtd(&rng, rng.Percent(30), /*allow_attrs=*/true);
-    auto cd = CompiledDtd::Compile(d);
+    HeldArtifacts held = Hold(d);
     auto p = RandomPath(&rng, labels, 3, opt);
-    Result<SatDecision> slow = SkeletonSat(*p, d);
-    Result<SatDecision> fast = SkeletonSat(*p, *cd);
-    ASSERT_EQ(slow.ok(), fast.ok()) << p->ToString();
-    if (!slow.ok()) continue;
-    EXPECT_EQ(slow.value().verdict, fast.value().verdict)
-        << p->ToString() << "\n" << d.ToString();
+    Result<SatDecision> one_shot = SkeletonSat(*p, *CompiledDtd::Compile(d));
+    ExpectSameDecision(one_shot, SkeletonSat(*p, *held.shared, {}, &rewrites),
+                       "shared, cache miss", *p, d);
+    ExpectSameDecision(one_shot, SkeletonSat(*p, *held.restored, {}, &rewrites),
+                       "restored, cache hit", *p, d);
   }
 }
 
@@ -162,15 +211,17 @@ TEST_P(CompiledAgreement, FacadeDispatchMatchesCompiledDispatch) {
   caps.bounded_caps.max_star = 3;
   caps.bounded_caps.max_trees = 20000;
   caps.skeleton_caps.max_steps = 50000;
+  RewriteCache rewrites(64);
   for (int round = 0; round < 8; ++round) {
     Dtd d = RandomDtd(&rng, rng.Percent(30), /*allow_attrs=*/true);
-    auto cd = CompiledDtd::Compile(d);
+    HeldArtifacts held = Hold(d);
     auto p = RandomPath(&rng, labels, 3, opt);
-    SatReport slow = DecideSatisfiability(*p, d, caps);
-    SatReport fast = DecideSatisfiability(*p, *cd, caps);
-    EXPECT_EQ(slow.decision.verdict, fast.decision.verdict)
+    SatReport facade = DecideSatisfiability(*p, d, caps);
+    SatReport restored =
+        DecideSatisfiability(*p, *held.restored, caps, &rewrites);
+    EXPECT_EQ(facade.decision.verdict, restored.decision.verdict)
         << p->ToString() << "\n" << d.ToString();
-    EXPECT_EQ(slow.algorithm, fast.algorithm) << p->ToString();
+    EXPECT_EQ(facade.algorithm, restored.algorithm) << p->ToString();
   }
 }
 

@@ -6,6 +6,7 @@
 #include "src/sat/djfree_sat.h"
 #include "src/sat/fixed_dtd_sat.h"
 #include "src/sat/reach_sat.h"
+#include "src/sat/satisfiability.h"
 #include "src/sat/sibling_sat.h"
 #include "src/sat/skeleton_sat.h"
 #include "src/xpath/evaluator.h"
@@ -45,13 +46,27 @@ TEST_P(DeciderAgreement, ReachVsSkeletonOnQualifierFreeQueries) {
   opt.allow_filter = false;
   for (int round = 0; round < 10; ++round) {
     Dtd d = RandomDtd(&rng, rng.Percent(40));
+    auto cd = CompiledDtd::Compile(d);
     auto p = RandomPath(&rng, labels, 3, opt);
-    Result<SatDecision> reach = ReachSat(*p, d);
+    Result<SatDecision> reach = ReachSat(*p, *cd);
     ASSERT_TRUE(reach.ok());
     // Thm 4.1 is a PTIME decision procedure: no resource caps, no punting.
     EXPECT_NE(reach.value().verdict, SatVerdict::kUnknown)
         << p->ToString() << "\n" << d.ToString();
-    Result<SatDecision> skel = SkeletonSat(*p, d);
+    if (reach.value().sat()) {
+      // Tree(p, D) conforms to D and satisfies p.
+      ASSERT_TRUE(reach.value().witness.has_value());
+      EXPECT_TRUE(d.Validate(*reach.value().witness).ok())
+          << p->ToString() << "\n" << d.ToString();
+      EXPECT_TRUE(Satisfies(*reach.value().witness, *p))
+          << p->ToString() << "\n" << reach.value().witness->ToString();
+    }
+    // Skipping the witness keeps the verdict and drops the tree.
+    Result<SatDecision> nowit = ReachSat(*p, *cd, /*build_witness=*/false);
+    ASSERT_TRUE(nowit.ok());
+    EXPECT_EQ(nowit.value().verdict, reach.value().verdict);
+    EXPECT_FALSE(nowit.value().witness.has_value());
+    Result<SatDecision> skel = SkeletonSat(*p, *cd);
     ASSERT_TRUE(skel.ok());
     if (skel.value().verdict == SatVerdict::kUnknown) continue;
     EXPECT_EQ(reach.value().sat(), skel.value().sat())
@@ -65,13 +80,14 @@ TEST_P(DeciderAgreement, DjfreeVsSkeletonOnDisjunctionFreeDtds) {
   for (int round = 0; round < 10; ++round) {
     Dtd d = RandomDtd(&rng, /*recursive=*/false);
     if (!d.IsDisjunctionFree()) continue;
+    auto cd = CompiledDtd::Compile(d);
     auto p = RandomPath(&rng, labels, 3);
-    Result<SatDecision> fast = DisjunctionFreeSat(*p, d);
+    Result<SatDecision> fast = DisjunctionFreeSat(*p, *cd);
     ASSERT_TRUE(fast.ok());
     // Thm 6.8(1) is a PTIME decision procedure: kUnknown is a bug.
     EXPECT_NE(fast.value().verdict, SatVerdict::kUnknown)
         << p->ToString() << "\n" << d.ToString();
-    Result<SatDecision> skel = SkeletonSat(*p, d);
+    Result<SatDecision> skel = SkeletonSat(*p, *cd);
     ASSERT_TRUE(skel.ok());
     if (skel.value().verdict == SatVerdict::kUnknown) continue;
     EXPECT_EQ(fast.value().sat(), skel.value().sat())
@@ -88,7 +104,7 @@ TEST_P(DeciderAgreement, SatAnswersComeWithValidWitnesses) {
   for (int round = 0; round < 10; ++round) {
     Dtd d = RandomDtd(&rng, rng.Percent(30), /*allow_attrs=*/true);
     auto p = RandomPath(&rng, labels, 3, opt);
-    Result<SatDecision> r = SkeletonSat(*p, d);
+    Result<SatDecision> r = SkeletonSat(*p, *CompiledDtd::Compile(d));
     ASSERT_TRUE(r.ok()) << p->ToString();
     if (r.value().sat()) {
       ASSERT_TRUE(r.value().witness.has_value());
@@ -118,7 +134,7 @@ TEST_P(DeciderAgreement, OracleSatisfiableImpliesSkeletonSatisfiable) {
     bounds.max_trees = 100000;
     SatDecision oracle = BoundedModelSat(*p, d, bounds);
     if (!oracle.sat()) continue;
-    Result<SatDecision> skel = SkeletonSat(*p, d);
+    Result<SatDecision> skel = SkeletonSat(*p, *CompiledDtd::Compile(d));
     ASSERT_TRUE(skel.ok());
     EXPECT_TRUE(skel.value().sat())
         << p->ToString() << "\n" << d.ToString() << "\noracle witness: "
@@ -132,7 +148,7 @@ TEST_P(DeciderAgreement, SiblingChainsAgreeWithOracle) {
   for (int round = 0; round < 12; ++round) {
     Dtd d = RandomDtd(&rng, rng.Percent(30));
     auto p = RandomSiblingChain(&rng, labels);
-    Result<SatDecision> fast = SiblingChainSat(*p, d);
+    Result<SatDecision> fast = SiblingChainSat(*p, *CompiledDtd::Compile(d));
     ASSERT_TRUE(fast.ok()) << p->ToString();
     // Thm 7.1 is a PTIME decision procedure: kUnknown is a bug.
     ASSERT_NE(fast.value().verdict, SatVerdict::kUnknown)
@@ -189,6 +205,48 @@ TEST_P(DeciderAgreement, FixedDtdAgreesWithOracleUnderNegation) {
           << p->ToString() << "\n" << fast.value().witness->ToString();
       EXPECT_TRUE(Satisfies(*fast.value().witness, *p))
           << p->ToString() << "\n" << fast.value().witness->ToString();
+    }
+  }
+}
+
+TEST_P(DeciderAgreement, DispatchAgreesWithOracle) {
+  // The full Sec. 8 dispatch on random queries from every fragment but data
+  // values (negation+data is the undecidable Thm 5.4 fragment, where the
+  // oracle enumerates attribute assignments exponentially). Small caps keep
+  // pathological negation instances fast; a capped kUnknown is allowed.
+  Rng rng(GetParam() * 263 + 23);
+  std::vector<std::string> labels = {"A", "B", "C", "r"};
+  RandomPathOptions opt;
+  opt.allow_upward = true;
+  opt.allow_negation = true;
+  opt.allow_sibling = true;
+  SatOptions caps;
+  caps.bounded_caps.max_depth = 6;
+  caps.bounded_caps.max_nodes = 60;
+  caps.bounded_caps.max_star = 3;
+  caps.bounded_caps.max_trees = 20000;
+  caps.skeleton_caps.max_steps = 50000;
+  for (int round = 0; round < 4; ++round) {
+    Dtd d = RandomDtd(&rng, rng.Percent(30), /*allow_attrs=*/true);
+    auto p = RandomPath(&rng, labels, 3, opt);
+    SatReport r = DecideSatisfiability(*p, d, caps);
+    DerivedBounds db = DeriveBoundsChecked(*p, d, caps.bounded_caps);
+    SatDecision oracle = BoundedModelSat(*p, d, db.options);
+    if (oracle.sat()) {
+      EXPECT_FALSE(r.unsat())
+          << r.algorithm << ": " << p->ToString() << "\n" << d.ToString()
+          << "\noracle witness: " << oracle.witness->ToString();
+    } else if (oracle.unsat() && db.complete) {
+      EXPECT_FALSE(r.sat())
+          << r.algorithm << ": " << p->ToString() << "\n" << d.ToString();
+    }
+    if (r.sat() && r.decision.witness.has_value()) {
+      EXPECT_TRUE(d.Validate(*r.decision.witness).ok())
+          << r.algorithm << ": " << p->ToString() << "\n"
+          << r.decision.witness->ToString();
+      EXPECT_TRUE(Satisfies(*r.decision.witness, *p))
+          << r.algorithm << ": " << p->ToString() << "\n"
+          << r.decision.witness->ToString();
     }
   }
 }

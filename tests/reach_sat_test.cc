@@ -12,15 +12,17 @@ namespace {
 TEST(ReachSatTest, Example23Unsat) {
   // Paper Example 2.3: D with r -> A*, query B.
   Dtd d = ParseDtdOrDie("root r\nr -> A*\nA -> eps\n");
-  Result<SatDecision> r = ReachSat(*Path("B"), d);
+  auto cd = CompiledDtd::Compile(d);
+  Result<SatDecision> r = ReachSat(*Path("B"), *cd);
   ASSERT_TRUE(r.ok()) << r.error();
   EXPECT_TRUE(r.value().unsat());
 }
 
 TEST(ReachSatTest, SimpleSatWithWitness) {
   Dtd d = ParseDtdOrDie("root r\nr -> A, B\nA -> C + D\nB -> eps\nC -> eps\nD -> eps\n");
+  auto cd = CompiledDtd::Compile(d);
   for (const char* q : {"A", "B", "A/C", "A/D", "**/C", "A|Z", "*/*"}) {
-    Result<SatDecision> r = ReachSat(*Path(q), d);
+    Result<SatDecision> r = ReachSat(*Path(q), *cd);
     ASSERT_TRUE(r.ok()) << q;
     EXPECT_TRUE(r.value().sat()) << q;
     ASSERT_TRUE(r.value().witness.has_value()) << q;
@@ -29,7 +31,7 @@ TEST(ReachSatTest, SimpleSatWithWitness) {
     EXPECT_TRUE(Satisfies(w, *Path(q))) << q << ": " << w.ToString();
   }
   for (const char* q : {"B/A", "A/C/D", "Z", "**/Z", "A/A"}) {
-    Result<SatDecision> r = ReachSat(*Path(q), d);
+    Result<SatDecision> r = ReachSat(*Path(q), *cd);
     ASSERT_TRUE(r.ok()) << q;
     EXPECT_TRUE(r.value().unsat()) << q;
   }
@@ -37,31 +39,35 @@ TEST(ReachSatTest, SimpleSatWithWitness) {
 
 TEST(ReachSatTest, RecursiveDtd) {
   Dtd d = ParseDtdOrDie("root r\nr -> A\nA -> (A + eps), B\nB -> eps\n");
-  EXPECT_TRUE(ReachSat(*Path("A/A/A/B"), d).value().sat());
-  EXPECT_TRUE(ReachSat(*Path("**/B"), d).value().sat());
-  EXPECT_TRUE(ReachSat(*Path("**/A/B"), d).value().sat());
-  EXPECT_TRUE(ReachSat(*Path("B"), d).value().unsat());  // B only under A
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(ReachSat(*Path("A/A/A/B"), *cd).value().sat());
+  EXPECT_TRUE(ReachSat(*Path("**/B"), *cd).value().sat());
+  EXPECT_TRUE(ReachSat(*Path("**/A/B"), *cd).value().sat());
+  EXPECT_TRUE(ReachSat(*Path("B"), *cd).value().unsat());  // B only under A
 }
 
 TEST(ReachSatTest, NonterminatingTypesAreUnusable) {
   // A -> A never terminates; the only conforming trees use the B branch.
   Dtd d = ParseDtdOrDie("root r\nr -> A + B\nA -> A\nB -> eps\n");
-  EXPECT_TRUE(ReachSat(*Path("A"), d).value().unsat());
-  EXPECT_TRUE(ReachSat(*Path("B"), d).value().sat());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(ReachSat(*Path("A"), *cd).value().unsat());
+  EXPECT_TRUE(ReachSat(*Path("B"), *cd).value().sat());
 }
 
 TEST(ReachSatTest, ConcatenationForcesCoexistence) {
   // r -> A, B: both children always exist.
   Dtd d = ParseDtdOrDie("root r\nr -> A, B\nA -> eps\nB -> eps\n");
-  EXPECT_TRUE(ReachSat(*Path("A"), d).value().sat());
-  EXPECT_TRUE(ReachSat(*Path("B"), d).value().sat());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(ReachSat(*Path("A"), *cd).value().sat());
+  EXPECT_TRUE(ReachSat(*Path("B"), *cd).value().sat());
 }
 
 TEST(ReachSatTest, RejectsOutOfFragment) {
   Dtd d = ParseDtdOrDie("root r\nr -> A\nA -> eps\n");
-  EXPECT_FALSE(ReachSat(*Path("A[B]"), d).ok());
-  EXPECT_FALSE(ReachSat(*Path("A/^"), d).ok());
-  EXPECT_FALSE(ReachSat(*Path("A/>"), d).ok());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_FALSE(ReachSat(*Path("A[B]"), *cd).ok());
+  EXPECT_FALSE(ReachSat(*Path("A/^"), *cd).ok());
+  EXPECT_FALSE(ReachSat(*Path("A/>"), *cd).ok());
 }
 
 class ReachVsOracle : public ::testing::TestWithParam<int> {};
@@ -73,8 +79,9 @@ TEST_P(ReachVsOracle, AgreesWithBoundedModel) {
   std::vector<std::string> labels = {"A", "B", "C", "r"};
   for (int round = 0; round < 8; ++round) {
     Dtd d = RandomDtd(&rng, rng.Percent(40));
+    auto cd = CompiledDtd::Compile(d);
     auto p = RandomPath(&rng, labels, 3, opt);
-    Result<SatDecision> fast = ReachSat(*p, d);
+    Result<SatDecision> fast = ReachSat(*p, *cd);
     ASSERT_TRUE(fast.ok()) << p->ToString();
     // Thm 4.1 is a PTIME decision procedure: kUnknown would silently read as
     // unsat in the agreement check below, so rule it out explicitly.

@@ -87,6 +87,14 @@ expect_in() { # args: needle file
 $(cat "$2")"
 }
 
+wait_for_in() { # args: needle file; polls for up to 5 s, then expect_in
+  for _ in $(seq 1 50); do
+    grep -qF -- "$1" "$2" 2>/dev/null && return 0
+    sleep 0.1
+  done
+  expect_in "$1" "$2"
+}
+
 # ---- Phase 1: two concurrent clients + memo-warm replay -------------------
 start_server
 
@@ -187,7 +195,8 @@ expect_in '"requests": 57' server.out
 
 # ---- Phase 2: cancel a still-queued ticket by id --------------------------
 # Also exercises --metrics-dump-ms: the server dumps the merged metrics JSON
-# to stderr while it runs (checked after stop_server below).
+# to stderr while it runs. The phase can finish inside one dump interval, so
+# the check below waits for the first dump before stopping the server.
 start_server --threads 1 --no-memo --metrics-dump-ms 200
 
 cancelled=0
@@ -222,9 +231,9 @@ for attempt in $(seq 1 5); do
 done
 [ "$cancelled" -eq 1 ] || fail "cancel-by-id never won in 5 attempts"
 
+wait_for_in 'metrics {"uptime_ms"' server.err
 stop_server
 expect_in '"cancellations": 1' server.out
-expect_in 'metrics {"uptime_ms"' server.err
 
 # ---- Phase 3: warm restart (--save-on-exit -> --warm-from) ----------------
 # Prime a server, let SIGTERM write the snapshot, restart --warm-from it:

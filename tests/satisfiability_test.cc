@@ -145,6 +145,19 @@ TEST(RewriteCacheTest, ServesTheExactRewriteAndHitsOnRepeat) {
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().get(), first.value().get());
   EXPECT_EQ(cache.hits(), 1u);
+
+  // The deciders' entry point serves the cache when given one and computes
+  // the same rewrite without it.
+  Result<std::shared_ptr<const PathExpr>> served =
+      RewriteOntoNormalForm(*p, *compiled, &cache);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(served.value().get(), first.value().get());
+  Result<std::shared_ptr<const PathExpr>> uncached =
+      RewriteOntoNormalForm(*p, *compiled, nullptr);
+  ASSERT_TRUE(uncached.ok());
+  EXPECT_EQ(uncached.value()->ToString(), direct.value()->ToString());
+  EXPECT_EQ(cache.hits(), 2u);
+  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(RewriteCacheTest, RandomizedParityWithDirectRewrite) {

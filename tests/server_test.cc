@@ -472,6 +472,41 @@ class TestClient {
     return WaitForAny({needle}, timeout_ms);
   }
 
+  /// Blocks until every one of `needles` has matched a reply line at or
+  /// after the consume cursor, in any order (batch results pipeline out of
+  /// order); one line satisfies at most one needle. Advances the cursor past
+  /// the last matched line and returns the matches in needle order. Fails
+  /// the test after `timeout_ms` or on EOF with a needle unmatched.
+  std::vector<std::string> WaitForAll(const std::vector<std::string>& needles,
+                                      int64_t timeout_ms = 30000) {
+    std::unique_lock<std::mutex> lock(mu_);
+    std::vector<std::string> found(needles.size());
+    size_t remaining = needles.size();
+    size_t next = scanned_;
+    size_t end = scanned_;
+    cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms), [&] {
+      for (; next < lines_.size() && remaining > 0; ++next) {
+        for (size_t n = 0; n < needles.size(); ++n) {
+          if (found[n].empty() &&
+              lines_[next].find(needles[n]) != std::string::npos) {
+            found[n] = lines_[next];
+            --remaining;
+            end = next + 1;
+            break;
+          }
+        }
+      }
+      return remaining == 0 || eof_;
+    });
+    scanned_ = remaining == 0 ? end : lines_.size();
+    for (size_t n = 0; n < needles.size(); ++n) {
+      EXPECT_FALSE(found[n].empty())
+          << "no reply containing '" << needles[n] << "' (got "
+          << lines_.size() << " lines, eof=" << eof_ << ")";
+    }
+    return found;
+  }
+
   /// Scans ALL received lines (ignoring the consume cursor).
   bool SawLine(const std::string& needle) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -745,10 +780,8 @@ TEST(SocketServerTest, BatchAndBinaryFramingAcrossTheSocket) {
   wire += protocol::EncodeFrame("query cat section/item");
   wire += protocol::EncodeFrame("q cat nosuchlabel");
   client.SendBytes(wire);
-  client.WaitFor("ok batch 1 ids");
-  client.WaitFor("[sat    ] section/item");
-  client.WaitFor("[unsat  ] nosuchlabel");
-  client.WaitFor("ok batch 1 done");
+  client.WaitForAll({"ok batch 1 ids", "[sat    ] section/item",
+                     "[unsat  ] nosuchlabel", "ok batch 1 done"});
   // Text and binary interleave freely after negotiation; wire-decode cost
   // for framed requests lands in the slow-trace JSON.
   client.Send("slow");

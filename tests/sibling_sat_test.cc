@@ -20,7 +20,8 @@ class SiblingCases : public ::testing::TestWithParam<SibCase> {};
 
 TEST_P(SiblingCases, Decides) {
   Dtd d = ParseDtdOrDie(kOrderedDtd);
-  Result<SatDecision> r = SiblingChainSat(*Path(GetParam().query), d);
+  auto cd = CompiledDtd::Compile(d);
+  Result<SatDecision> r = SiblingChainSat(*Path(GetParam().query), *cd);
   ASSERT_TRUE(r.ok()) << GetParam().query << ": " << r.error();
   EXPECT_EQ(r.value().sat(), GetParam().sat) << GetParam().query;
 }
@@ -50,30 +51,34 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SiblingSatTest, WholeWordMustExist) {
   // r -> A, B: moving right twice from A is impossible.
   Dtd d = ParseDtdOrDie("root r\nr -> A, B\nA -> eps\nB -> eps\n");
-  EXPECT_TRUE(SiblingChainSat(*Path("A/>"), d).value().sat());
-  EXPECT_TRUE(SiblingChainSat(*Path("A/>/>"), d).value().unsat());
-  EXPECT_TRUE(SiblingChainSat(*Path("B/<"), d).value().sat());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(SiblingChainSat(*Path("A/>"), *cd).value().sat());
+  EXPECT_TRUE(SiblingChainSat(*Path("A/>/>"), *cd).value().unsat());
+  EXPECT_TRUE(SiblingChainSat(*Path("B/<"), *cd).value().sat());
 }
 
 TEST(SiblingSatTest, DisjunctionLimitsSiblings) {
   Dtd d = ParseDtdOrDie("root r\nr -> A + (A, B)\nA -> eps\nB -> eps\n");
-  EXPECT_TRUE(SiblingChainSat(*Path("A/>"), d).value().sat());
-  EXPECT_TRUE(SiblingChainSat(*Path("B/>"), d).value().unsat());
-  EXPECT_TRUE(SiblingChainSat(*Path("B/<"), d).value().sat());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(SiblingChainSat(*Path("A/>"), *cd).value().sat());
+  EXPECT_TRUE(SiblingChainSat(*Path("B/>"), *cd).value().unsat());
+  EXPECT_TRUE(SiblingChainSat(*Path("B/<"), *cd).value().sat());
 }
 
 TEST(SiblingSatTest, NonterminatingSymbolsAreUnusable) {
   Dtd d = ParseDtdOrDie("root r\nr -> A, (B + eps)\nA -> eps\nB -> B\n");
-  EXPECT_TRUE(SiblingChainSat(*Path("A/>"), d).value().unsat());  // B never exists
-  EXPECT_TRUE(SiblingChainSat(*Path("A"), d).value().sat());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(SiblingChainSat(*Path("A/>"), *cd).value().unsat());  // B never exists
+  EXPECT_TRUE(SiblingChainSat(*Path("A"), *cd).value().sat());
 }
 
 TEST(SiblingSatTest, RejectsOutOfFragment) {
   Dtd d = ParseDtdOrDie("root r\nr -> A\nA -> eps\n");
-  EXPECT_FALSE(SiblingChainSat(*Path("A[B]"), d).ok());
-  EXPECT_FALSE(SiblingChainSat(*Path("A/>>"), d).ok());
-  EXPECT_FALSE(SiblingChainSat(*Path("A|B"), d).ok());
-  EXPECT_FALSE(SiblingChainSat(*Path("**"), d).ok());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_FALSE(SiblingChainSat(*Path("A[B]"), *cd).ok());
+  EXPECT_FALSE(SiblingChainSat(*Path("A/>>"), *cd).ok());
+  EXPECT_FALSE(SiblingChainSat(*Path("A|B"), *cd).ok());
+  EXPECT_FALSE(SiblingChainSat(*Path("**"), *cd).ok());
 }
 
 class SiblingVsOracle : public ::testing::TestWithParam<int> {};
@@ -88,6 +93,7 @@ TEST_P(SiblingVsOracle, AgreesWithBoundedModel) {
   opt.allow_sibling = true;
   for (int round = 0; round < 10; ++round) {
     Dtd d = RandomDtd(&rng, /*recursive=*/false);
+    auto cd = CompiledDtd::Compile(d);
     // Random chain of label/wildcard/sibling steps.
     std::vector<std::unique_ptr<PathExpr>> steps;
     steps.push_back(rng.Percent(50)
@@ -118,7 +124,7 @@ TEST_P(SiblingVsOracle, AgreesWithBoundedModel) {
       }
     }
     auto p = PathExpr::SeqAll(std::move(steps));
-    Result<SatDecision> fast = SiblingChainSat(*p, d);
+    Result<SatDecision> fast = SiblingChainSat(*p, *cd);
     ASSERT_TRUE(fast.ok()) << p->ToString();
     // Thm 7.1 is a PTIME decision procedure: kUnknown would silently read as
     // unsat in the agreement check below, so rule it out explicitly.

@@ -18,9 +18,10 @@ const char* kMixedDtd =
 
 TEST(SkeletonSatTest, DownwardBasics) {
   Dtd d = ParseDtdOrDie(kMixedDtd);
+  auto cd = CompiledDtd::Compile(d);
   for (const char* q : {"A", "A/D", "B/D", "C", ".[A && B]", ".[A && C]",
                         "**/D", "A[D]|Z", ".[A[D] && B[D]]"}) {
-    Result<SatDecision> r = SkeletonSat(*Path(q), d);
+    Result<SatDecision> r = SkeletonSat(*Path(q), *cd);
     ASSERT_TRUE(r.ok()) << q << ": " << r.error();
     EXPECT_TRUE(r.value().sat()) << q << " note: " << r.value().note;
     ASSERT_TRUE(r.value().witness.has_value()) << q;
@@ -31,7 +32,7 @@ TEST(SkeletonSatTest, DownwardBasics) {
         << q << " vs " << r.value().witness->ToString();
   }
   for (const char* q : {"Z", ".[B && C]", "A/Z", "D", "B/D/D"}) {
-    Result<SatDecision> r = SkeletonSat(*Path(q), d);
+    Result<SatDecision> r = SkeletonSat(*Path(q), *cd);
     ASSERT_TRUE(r.ok()) << q;
     EXPECT_TRUE(r.value().unsat()) << q << " note: " << r.value().note;
   }
@@ -40,50 +41,55 @@ TEST(SkeletonSatTest, DownwardBasics) {
 TEST(SkeletonSatTest, DisjunctionInDtdBlocksCoexistence) {
   // B and C are exclusive siblings: .[B && C] unsat, but .[B || C] sat.
   Dtd d = ParseDtdOrDie(kMixedDtd);
-  EXPECT_TRUE(SkeletonSat(*Path(".[B && C]"), d).value().unsat());
-  EXPECT_TRUE(SkeletonSat(*Path(".[B || C]"), d).value().sat());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(SkeletonSat(*Path(".[B && C]"), *cd).value().unsat());
+  EXPECT_TRUE(SkeletonSat(*Path(".[B || C]"), *cd).value().sat());
 }
 
 TEST(SkeletonSatTest, UpwardNavigation) {
   Dtd d = ParseDtdOrDie(kMixedDtd);
-  EXPECT_TRUE(SkeletonSat(*Path("A/D/^[label()=A]"), d).value().sat());
-  EXPECT_TRUE(SkeletonSat(*Path("A/D/^[label()=B]"), d).value().unsat());
-  EXPECT_TRUE(SkeletonSat(*Path("A/D/^^[label()=r]/B"), d).value().sat());
-  EXPECT_TRUE(SkeletonSat(*Path("A/^/^"), d).value().unsat());
-  EXPECT_TRUE(SkeletonSat(*Path("B/D/^/^/A"), d).value().sat());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(SkeletonSat(*Path("A/D/^[label()=A]"), *cd).value().sat());
+  EXPECT_TRUE(SkeletonSat(*Path("A/D/^[label()=B]"), *cd).value().unsat());
+  EXPECT_TRUE(SkeletonSat(*Path("A/D/^^[label()=r]/B"), *cd).value().sat());
+  EXPECT_TRUE(SkeletonSat(*Path("A/^/^"), *cd).value().unsat());
+  EXPECT_TRUE(SkeletonSat(*Path("B/D/^/^/A"), *cd).value().sat());
 }
 
 TEST(SkeletonSatTest, DataJoins) {
   Dtd d = ParseDtdOrDie(kMixedDtd);
+  auto cd = CompiledDtd::Compile(d);
   // Two D children of A with different values.
   auto p1 = Path(".[A/D/@v!=A/D/@v]");
-  Result<SatDecision> r1 = SkeletonSat(*p1, d);
+  Result<SatDecision> r1 = SkeletonSat(*p1, *cd);
   ASSERT_TRUE(r1.ok()) << r1.error();
   EXPECT_TRUE(r1.value().sat());
   EXPECT_TRUE(Satisfies(*r1.value().witness, *p1))
       << r1.value().witness->ToString();
   // B has exactly one D: its value cannot differ from itself.
-  EXPECT_TRUE(SkeletonSat(*Path(".[B/D/@v!=B/D/@v]"), d).value().unsat());
+  EXPECT_TRUE(SkeletonSat(*Path(".[B/D/@v!=B/D/@v]"), *cd).value().unsat());
   // Constants force equalities through joins.
-  EXPECT_TRUE(
-      SkeletonSat(*Path(".[B/D/@v=\"1\" && B/D/@v!=\"1\"]"), d).value().unsat());
-  EXPECT_TRUE(
-      SkeletonSat(*Path(".[B/D/@v=\"1\" && A/D/@v!=\"1\"]"), d).value().sat());
+  EXPECT_TRUE(SkeletonSat(*Path(".[B/D/@v=\"1\" && B/D/@v!=\"1\"]"), *cd)
+                  .value()
+                  .unsat());
+  EXPECT_TRUE(SkeletonSat(*Path(".[B/D/@v=\"1\" && A/D/@v!=\"1\"]"), *cd)
+                  .value()
+                  .sat());
   // The two A/D existentials may pick different D nodes under A, so chaining
   // through them does NOT force a contradiction...
   EXPECT_TRUE(SkeletonSat(*Path(".[B/D/@v=\"1\" && B/D/@v=A/D/@v && "
                                 "A/D/@v!=\"1\"]"),
-                          d)
+                          *cd)
                   .value()
                   .sat());
   // ...but chaining through B's unique D does.
   EXPECT_TRUE(SkeletonSat(*Path(".[B/D/@v=\"1\" && B/D/@v=B/D/@v && "
                                 "B/D/@v!=\"1\"]"),
-                          d)
+                          *cd)
                   .value()
                   .unsat());
   // Attribute existence: only D has @v.
-  EXPECT_TRUE(SkeletonSat(*Path(".[A/@v=\"1\"]"), d).value().unsat());
+  EXPECT_TRUE(SkeletonSat(*Path(".[A/@v=\"1\"]"), *cd).value().unsat());
 }
 
 TEST(SkeletonSatTest, PaperEncodingExample) {
@@ -91,24 +97,27 @@ TEST(SkeletonSatTest, PaperEncodingExample) {
   Dtd d = ParseDtdOrDie(
       "root r\nr -> X1, X2\nX1 -> T1 + F1\nX2 -> T2 + F2\n"
       "T1 -> C1\nF1 -> eps\nT2 -> eps\nF2 -> C1\nC1 -> eps\n");
+  auto cd = CompiledDtd::Compile(d);
   // clause C1 reachable: x1 true or x2 false.
-  EXPECT_TRUE(SkeletonSat(*Path(".[*/*/C1]"), d).value().sat());
+  EXPECT_TRUE(SkeletonSat(*Path(".[*/*/C1]"), *cd).value().sat());
   // Force x1 true AND x1 false: impossible.
-  EXPECT_TRUE(SkeletonSat(*Path(".[X1/T1 && X1/F1]"), d).value().unsat());
+  EXPECT_TRUE(SkeletonSat(*Path(".[X1/T1 && X1/F1]"), *cd).value().unsat());
 }
 
 TEST(SkeletonSatTest, RecursiveDtdDescendants) {
   Dtd d = ParseDtdOrDie("root r\nr -> A\nA -> (A + eps), B\nB -> eps\n");
-  EXPECT_TRUE(SkeletonSat(*Path("**/B"), d).value().sat());
-  EXPECT_TRUE(SkeletonSat(*Path("A/A/A/B"), d).value().sat());
-  EXPECT_TRUE(SkeletonSat(*Path(".[A/A/B && A/B]"), d).value().sat());
-  EXPECT_TRUE(SkeletonSat(*Path("B/A"), d).value().unsat());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_TRUE(SkeletonSat(*Path("**/B"), *cd).value().sat());
+  EXPECT_TRUE(SkeletonSat(*Path("A/A/A/B"), *cd).value().sat());
+  EXPECT_TRUE(SkeletonSat(*Path(".[A/A/B && A/B]"), *cd).value().sat());
+  EXPECT_TRUE(SkeletonSat(*Path("B/A"), *cd).value().unsat());
 }
 
 TEST(SkeletonSatTest, RejectsNegationAndSibling) {
   Dtd d = ParseDtdOrDie("root r\nr -> A\nA -> eps\n");
-  EXPECT_FALSE(SkeletonSat(*Path("A[!(B)]"), d).ok());
-  EXPECT_FALSE(SkeletonSat(*Path("A/>"), d).ok());
+  auto cd = CompiledDtd::Compile(d);
+  EXPECT_FALSE(SkeletonSat(*Path("A[!(B)]"), *cd).ok());
+  EXPECT_FALSE(SkeletonSat(*Path("A/>"), *cd).ok());
 }
 
 class SkeletonVsOracle : public ::testing::TestWithParam<int> {};
@@ -120,8 +129,9 @@ TEST_P(SkeletonVsOracle, AgreesWithBoundedModel) {
   opt.allow_upward = true;
   for (int round = 0; round < 6; ++round) {
     Dtd d = RandomDtd(&rng, /*recursive=*/false);
+    auto cd = CompiledDtd::Compile(d);
     auto p = RandomPath(&rng, labels, 3, opt);
-    Result<SatDecision> fast = SkeletonSat(*p, d);
+    Result<SatDecision> fast = SkeletonSat(*p, *cd);
     ASSERT_TRUE(fast.ok()) << p->ToString();
     if (fast.value().verdict == SatVerdict::kUnknown) continue;
     BoundedModelOptions bounds;

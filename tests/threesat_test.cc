@@ -80,7 +80,8 @@ TEST_P(PositiveEncodingAgree, MatchesDpll) {
   ThreeSatInstance inst = RandomThreeSat(4, rng.IntIn(3, 9), &rng);
   bool expected = DpllSolve(inst);
   SatEncoding enc = c.encode(inst);
-  Result<SatDecision> got = SkeletonSat(*enc.query, enc.dtd);
+  Result<SatDecision> got =
+      SkeletonSat(*enc.query, *CompiledDtd::Compile(enc.dtd));
   ASSERT_TRUE(got.ok()) << c.name << ": " << got.error();
   ASSERT_NE(got.value().verdict, SatVerdict::kUnknown) << c.name;
   EXPECT_EQ(got.value().sat(), expected)
@@ -137,7 +138,8 @@ TEST_P(FixedDownEncodingAgree, MatchesDpll) {
   SatEncoding enc = EncodeThreeSatFixedDown(inst);
   SkeletonSatOptions opt;
   opt.max_steps = 50000000;
-  Result<SatDecision> got = SkeletonSat(*enc.query, enc.dtd, opt);
+  Result<SatDecision> got =
+      SkeletonSat(*enc.query, *CompiledDtd::Compile(enc.dtd), opt);
   ASSERT_TRUE(got.ok()) << got.error();
   ASSERT_NE(got.value().verdict, SatVerdict::kUnknown);
   EXPECT_EQ(got.value().sat(), expected) << inst.ToString();
