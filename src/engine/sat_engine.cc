@@ -73,9 +73,9 @@ struct TicketState {
 struct DtdPin {
   std::shared_ptr<const CompiledDtd> compiled;
   uint64_t id = 0;
-  std::shared_ptr<std::atomic<uint64_t>> live;
+  std::shared_ptr<std::atomic<uint64_t>> live_handles;
   ~DtdPin() {
-    if (live) live->fetch_sub(1, std::memory_order_relaxed);
+    if (live_handles) live_handles->fetch_sub(1, std::memory_order_relaxed);
   }
 };
 
@@ -246,10 +246,9 @@ SatEngineOptions SatEngine::Normalize(SatEngineOptions options) {
   return options;
 }
 
-// The engine caches skip the caches' own probe counters (count_probes =
-// false): the engine keeps its per-request counters itself, and a second
-// contended counter cacheline per probe is exactly the serialization this
-// PR removes.
+// The caches skip their own probe counters (count_probes = false): the
+// engine's registry counts each request once, and a second contended
+// counter per probe would only serialize the hot path.
 SatEngine::SatEngine(const SatEngineOptions& options)
     : options_(Normalize(options)),
       resolved_shards_(ResolveShardTarget(options_.cache_shards)),
@@ -286,11 +285,9 @@ SatEngine::SatEngine(const SatEngineOptions& options)
   hist_dtd_compile_ns_ = metrics_.histogram("dtd_compile_ns");
   hist_store_load_ns_ = metrics_.histogram("artifact_store_load_ns");
   slow_requests_ = metrics_.counter("slow_requests");
-  ctr_store_dtds_loaded_ = metrics_.counter("store_dtds_loaded");
-  ctr_store_memos_loaded_ = metrics_.counter("store_memos_loaded");
-  ctr_store_records_corrupt_ = metrics_.counter("store_records_corrupt");
-  ctr_store_records_rejected_ = metrics_.counter("store_records_rejected");
-  ctr_store_version_rejects_ = metrics_.counter("store_version_rejects");
+  for (size_t i = 0; i < kNumSatEngineCounters; ++i) {
+    counters_[i] = metrics_.counter(kSatEngineCounters[i].name);
+  }
 }
 
 SatEngine::~SatEngine() {
@@ -350,12 +347,12 @@ DtdHandle SatEngine::RegisterDtd(const Dtd& dtd) {
   // artifacts), so the compile histogram lives on this path: one record per
   // actual compilation, none for cache hits.
   if (!hit) hist_dtd_compile_ns_->Record(ToNs(Clock::now() - compile_start));
-  (hit ? dtd_cache_hits_ : dtd_cache_misses_)
-      .fetch_add(1, std::memory_order_release);
+  hit ? Count<&SatEngineStats::dtd_cache_hits>()
+      : Count<&SatEngineStats::dtd_cache_misses>();
   auto pin = std::make_shared<engine_internal::DtdPin>();
   pin->compiled = std::move(compiled);
   pin->id = next_handle_id_.fetch_add(1, std::memory_order_relaxed);
-  pin->live = live_handles_;
+  pin->live_handles = live_handles_;
   live_handles_->fetch_add(1, std::memory_order_relaxed);
   return DtdHandle(std::move(pin));
 }
@@ -458,7 +455,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
     // The reaper normally cancels expired queued work before a worker ever
     // sees it; this check closes the race where a worker picks the job up
     // in the same instant the deadline passes.
-    deadline_expirations_.fetch_add(1, std::memory_order_release);
+    Count<&SatEngineStats::deadline_expirations>();
     resp = NotRunResponse("deadline",
                           "deadline expired before execution started");
     resp.trace.queue_ns = ToNs(picked_up - submitted);
@@ -471,10 +468,10 @@ SatResponse SatEngine::Execute(const SatRequest& request,
   std::shared_ptr<const CachedQuery> query =
       LookupQuery(request.query, &query_hit, &parse_error,
                   &resp.trace.parse_ns);
-  (query_hit ? query_cache_hits_ : query_cache_misses_)
-      .fetch_add(1, std::memory_order_release);
+  query_hit ? Count<&SatEngineStats::query_cache_hits>()
+            : Count<&SatEngineStats::query_cache_misses>();
   if (query == nullptr) {
-    parse_errors_.fetch_add(1, std::memory_order_release);
+    Count<&SatEngineStats::parse_errors>();
     resp.status = Status::Error("query parse error: " + parse_error);
     resp.trace.route = "parse-error";
     FinishTrace(&resp, request, ticket_id, submitted, Clock::now());
@@ -511,7 +508,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
       return true;
     });
     if (memoized != nullptr) {
-      memo_hits_.fetch_add(1, std::memory_order_release);
+      Count<&SatEngineStats::memo_hits>();
       resp.report = *memoized;
       resp.memo_hit = true;
       resp.status = Status::Ok();
@@ -519,7 +516,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
       FinishTrace(&resp, request, ticket_id, submitted, Clock::now());
       return resp;
     }
-    memo_misses_.fetch_add(1, std::memory_order_release);
+    Count<&SatEngineStats::memo_misses>();
   }
 
   // Reset this thread's rewrite accumulator so the span below is exactly
@@ -549,7 +546,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
 }
 
 SatTicket SatEngine::Submit(SatRequest request) {
-  requests_.fetch_add(1, std::memory_order_release);
+  Count<&SatEngineStats::requests>();
   auto state = std::make_shared<engine_internal::TicketState>();
   state->id = next_ticket_id_.fetch_add(1, std::memory_order_relaxed);
   state->job = std::make_shared<CancellableJob>();
@@ -604,7 +601,7 @@ SatTicket SatEngine::Submit(SatRequest request) {
 bool SatEngine::TryCancel(const SatTicket& ticket) {
   if (!ticket.valid()) return false;
   if (!ticket.state_->job->TryCancel()) return false;
-  cancellations_.fetch_add(1, std::memory_order_release);
+  Count<&SatEngineStats::cancellations>();
   // Never-executed fulfilments bump their route counter but no phase
   // histograms — the request has no spans to speak of.
   route_counters_.Increment("cancelled");
@@ -639,7 +636,7 @@ void SatEngine::ReaperLoop() {
     }
     // Outside the lock: Submit must never block behind promise fulfilment.
     if (expired->job->TryCancel()) {
-      deadline_expirations_.fetch_add(1, std::memory_order_release);
+      Count<&SatEngineStats::deadline_expirations>();
       route_counters_.Increment("deadline");
       expired->Fulfill(NotRunResponse(
           "deadline", "deadline expired before execution started"));
@@ -750,8 +747,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
       case store::SnapshotOpenError::Kind::kBadVersion:
         result.error_kind = SnapshotLoadResult::ErrorKind::kVersion;
         result.file_version = open_error.file_version;
-        store_version_rejects_.fetch_add(1, std::memory_order_release);
-        ctr_store_version_rejects_->Increment();
+        Count<&SatEngineStats::store_version_rejects>();
         break;
       case store::SnapshotOpenError::Kind::kBadMagic:
         result.error_kind = SnapshotLoadResult::ErrorKind::kCorrupt;
@@ -814,8 +810,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
                                : compiled;
       }
       ++result.dtds_loaded;
-      store_dtds_loaded_.fetch_add(1, std::memory_order_release);
-      ctr_store_dtds_loaded_->Increment();
+      Count<&SatEngineStats::store_dtds_loaded>();
     } else if (tag == static_cast<uint8_t>(store::RecordTag::kMemoEntry)) {
       if (!memo_enabled) continue;  // nothing to warm; not a data problem
       Result<store::MemoRecord> decoded = store::DecodeMemoRecord(payload);
@@ -846,24 +841,15 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
                                    record.options_digest),
                            std::move(entry));
       ++result.memos_loaded;
-      store_memos_loaded_.fetch_add(1, std::memory_order_release);
-      ctr_store_memos_loaded_->Increment();
+      Count<&SatEngineStats::store_memos_loaded>();
     } else {
       // Unknown record tag within a compatible version: additive kinds from
       // a newer writer. Counted so operators see them, never guessed at.
       ++result.rejected_records;
     }
   }
-  if (result.corrupt_records > 0) {
-    store_records_corrupt_.fetch_add(result.corrupt_records,
-                                     std::memory_order_release);
-    ctr_store_records_corrupt_->Increment(result.corrupt_records);
-  }
-  if (result.rejected_records > 0) {
-    store_records_rejected_.fetch_add(result.rejected_records,
-                                      std::memory_order_release);
-    ctr_store_records_rejected_->Increment(result.rejected_records);
-  }
+  Count<&SatEngineStats::store_records_corrupt>(result.corrupt_records);
+  Count<&SatEngineStats::store_records_rejected>(result.rejected_records);
 
   // Stamp the load as a first-class observable phase: histogram + route
   // counter always, and a RequestTrace into the slow-query log when the
@@ -890,38 +876,22 @@ uint64_t SatEngine::live_dtd_handles() const {
 }
 
 SatEngineStats SatEngine::stats() const {
-  // Load order is part of the contract (see SatEngineStats): per-request
-  // *outcome* counters first, `requests` last, all with acquire ordering
-  // against the release increments. A request's `requests` bump
-  // happens-before its outcome bump (Submit enqueues through the pool's
-  // queue lock before the worker runs), so any outcome this snapshot
-  // observes has its request already counted by the later `requests` load —
-  // the documented <= invariants hold for every snapshot, mid-flight
-  // included.
+  // Load order is part of the contract (see SatEngineStats): the table is
+  // walked backwards, so the per-request *outcome* counters load first and
+  // `requests` (row 0) last, all acquire loads against release increments.
+  // A request's `requests` bump happens-before its outcome bump (Submit
+  // enqueues through the pool's queue lock before the worker runs), so any
+  // outcome this snapshot observes has its request already counted by the
+  // later `requests` load — the documented <= invariants hold for every
+  // snapshot, mid-flight included.
   SatEngineStats s;
-  s.memo_hits = memo_hits_.load(std::memory_order_acquire);
-  s.memo_misses = memo_misses_.load(std::memory_order_acquire);
-  s.parse_errors = parse_errors_.load(std::memory_order_acquire);
-  s.cancellations = cancellations_.load(std::memory_order_acquire);
-  s.deadline_expirations =
-      deadline_expirations_.load(std::memory_order_acquire);
-  s.query_cache_hits = query_cache_hits_.load(std::memory_order_acquire);
-  s.query_cache_misses = query_cache_misses_.load(std::memory_order_acquire);
+  for (size_t i = kNumSatEngineCounters; i-- > 0;) {
+    s.*kSatEngineCounters[i].field = counters_[i]->value();
+  }
   if (rewrite_cache_ != nullptr) {
     s.rewrite_cache_hits = rewrite_cache_->hits();
     s.rewrite_cache_misses = rewrite_cache_->misses();
   }
-  s.dtd_cache_hits = dtd_cache_hits_.load(std::memory_order_acquire);
-  s.dtd_cache_misses = dtd_cache_misses_.load(std::memory_order_acquire);
-  s.store_dtds_loaded = store_dtds_loaded_.load(std::memory_order_acquire);
-  s.store_memos_loaded = store_memos_loaded_.load(std::memory_order_acquire);
-  s.store_records_corrupt =
-      store_records_corrupt_.load(std::memory_order_acquire);
-  s.store_records_rejected =
-      store_records_rejected_.load(std::memory_order_acquire);
-  s.store_version_rejects =
-      store_version_rejects_.load(std::memory_order_acquire);
-  s.requests = requests_.load(std::memory_order_acquire);
   s.uptime_ms = uptime_ms();
   s.snapshot_seq = NextSnapshotSeq();
   return s;

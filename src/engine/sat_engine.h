@@ -282,6 +282,11 @@ struct SnapshotLoadResult {
 
 /// Monotonic counters over the engine's lifetime.
 ///
+/// One counter store: every field but the rewrite pair and the two stamps is
+/// a kSatEngineCounters row, an obs::Counter in the engine's MetricsRegistry
+/// named after the field, so `stats`, `health` and `metrics` read the same
+/// cells and agree by construction.
+///
 /// Snapshot consistency: stats() is not one atomic snapshot (counters are
 /// independent atomics updated lock-free on the hot path), but it is more
 /// than a bag of racy reads. Every counter is monotonic, increments use
@@ -315,7 +320,8 @@ struct SatEngineStats {
   /// Prop 3.3 rewrite-cache probes from inside the deciders. Not
   /// per-request: a memo hit probes zero times, a miss-path request probes
   /// once per decider that rewrites (usually one, occasionally two when the
-  /// dispatch falls through); 0/0 when the rewrite cache is disabled.
+  /// dispatch falls through); 0/0 when the rewrite cache is disabled. Kept
+  /// by RewriteCache (src/sat does not link src/obs), not in the registry.
   uint64_t rewrite_cache_hits = 0;
   uint64_t rewrite_cache_misses = 0;
   uint64_t parse_errors = 0;
@@ -340,6 +346,44 @@ struct SatEngineStats {
   /// metrics emission over this engine; lets scrapers detect stale reads.
   uint64_t snapshot_seq = 0;
 };
+
+/// One engine event counter: its MetricsRegistry name (also its key in the
+/// `stats` JSON) and the SatEngineStats field it fills.
+struct SatEngineCounter {
+  const char* name;
+  uint64_t SatEngineStats::*field;
+};
+
+/// The single table behind the engine's counters: SatEngine registers one
+/// registry Counter per row, stats() reads them back, and
+/// protocol::FormatStatsJson prints them in this order. `requests` comes
+/// first, and stats() walks the table backwards so it is loaded last.
+inline constexpr SatEngineCounter kSatEngineCounters[] = {
+    {"requests", &SatEngineStats::requests},
+    {"dtd_cache_hits", &SatEngineStats::dtd_cache_hits},
+    {"dtd_cache_misses", &SatEngineStats::dtd_cache_misses},
+    {"query_cache_hits", &SatEngineStats::query_cache_hits},
+    {"query_cache_misses", &SatEngineStats::query_cache_misses},
+    {"memo_hits", &SatEngineStats::memo_hits},
+    {"memo_misses", &SatEngineStats::memo_misses},
+    {"parse_errors", &SatEngineStats::parse_errors},
+    {"cancellations", &SatEngineStats::cancellations},
+    {"deadline_expirations", &SatEngineStats::deadline_expirations},
+    {"store_dtds_loaded", &SatEngineStats::store_dtds_loaded},
+    {"store_memos_loaded", &SatEngineStats::store_memos_loaded},
+    {"store_records_corrupt", &SatEngineStats::store_records_corrupt},
+    {"store_records_rejected", &SatEngineStats::store_records_rejected},
+    {"store_version_rejects", &SatEngineStats::store_version_rejects},
+};
+inline constexpr size_t kNumSatEngineCounters = std::size(kSatEngineCounters);
+/// The kSatEngineCounters row filling `field` (kNumSatEngineCounters: none).
+constexpr size_t SatEngineCounterRow(uint64_t SatEngineStats::*field) {
+  size_t i = 0;
+  while (i < kNumSatEngineCounters && kSatEngineCounters[i].field != field) ++i;
+  return i;
+}
+static_assert(SatEngineCounterRow(&SatEngineStats::requests) == 0,
+              "stats() loads row 0 last; it must be `requests`");
 
 class SatEngine {
  public:
@@ -410,8 +454,9 @@ class SatEngine {
 
   /// The engine's metrics registry: per-phase latency histograms
   /// (request_queue_ns, request_parse_ns, request_rewrite_ns,
-  /// request_decide_ns, request_total_ns, dtd_compile_ns) and the
-  /// slow_requests counter. Mutated lock-free by the request path; render
+  /// request_decide_ns, request_total_ns, dtd_compile_ns), the
+  /// slow_requests counter, and one counter per kSatEngineCounters row (the
+  /// cells stats() reads). Mutated lock-free by the request path; render
   /// with obs::RenderMetricsJson / RenderMetricsProm.
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   /// Per-dispatch-route fulfilment counters: one increment per completed
@@ -476,6 +521,14 @@ class SatEngine {
                    uint64_t ticket_id, Clock::time_point submitted,
                    Clock::time_point end);
   void ReaperLoop();
+  /// Bumps the registry counter behind `field`; the kSatEngineCounters row
+  /// is found at compile time, so the hot path is one release add.
+  template <uint64_t SatEngineStats::*field>
+  void Count(uint64_t n = 1) {
+    constexpr size_t row = SatEngineCounterRow(field);
+    static_assert(row < kNumSatEngineCounters, "not a kSatEngineCounters row");
+    counters_[row]->Increment(n);
+  }
 
   SatEngineOptions options_;
   // cache_shards resolved (power of two in [1, 64]) before per-cache
@@ -511,29 +564,11 @@ class SatEngine {
   std::atomic<uint64_t> next_handle_id_{1};
   std::atomic<uint64_t> next_ticket_id_{1};
 
-  // Lock-free counters: the request hot path never takes any lock just to
-  // account for itself. Release increments + the ordered acquire loads in
-  // stats() give the snapshot contract documented on SatEngineStats.
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> dtd_cache_hits_{0};
-  std::atomic<uint64_t> dtd_cache_misses_{0};
-  std::atomic<uint64_t> query_cache_hits_{0};
-  std::atomic<uint64_t> query_cache_misses_{0};
-  std::atomic<uint64_t> memo_hits_{0};
-  std::atomic<uint64_t> memo_misses_{0};
-  std::atomic<uint64_t> parse_errors_{0};
-  std::atomic<uint64_t> cancellations_{0};
-  std::atomic<uint64_t> deadline_expirations_{0};
-  // Artifact-store load accounting (LoadSnapshot; not per-request).
-  std::atomic<uint64_t> store_dtds_loaded_{0};
-  std::atomic<uint64_t> store_memos_loaded_{0};
-  std::atomic<uint64_t> store_records_corrupt_{0};
-  std::atomic<uint64_t> store_records_rejected_{0};
-  std::atomic<uint64_t> store_version_rejects_{0};
-
-  // Observability: the histograms are resolved once here (registry lookups
-  // are mutex-guarded) and mutated lock-free by the request path.
+  // Observability: the counters and histograms are resolved once in the
+  // constructor (registry lookups are mutex-guarded) and mutated lock-free
+  // by the request path. counters_[i] is the kSatEngineCounters[i] cell.
   obs::MetricsRegistry metrics_;
+  obs::Counter* counters_[kNumSatEngineCounters] = {};
   obs::RouteCounters route_counters_;
   obs::SlowQueryLog slow_log_;
   obs::Histogram* hist_wire_decode_ns_ = nullptr;
@@ -545,13 +580,6 @@ class SatEngine {
   obs::Histogram* hist_dtd_compile_ns_ = nullptr;
   obs::Histogram* hist_store_load_ns_ = nullptr;
   obs::Counter* slow_requests_ = nullptr;
-  // Store counters mirrored into the metrics registry so `metrics` /
-  // `metrics prom` expose warm-load health without a stats() call.
-  obs::Counter* ctr_store_dtds_loaded_ = nullptr;
-  obs::Counter* ctr_store_memos_loaded_ = nullptr;
-  obs::Counter* ctr_store_records_corrupt_ = nullptr;
-  obs::Counter* ctr_store_records_rejected_ = nullptr;
-  obs::Counter* ctr_store_version_rejects_ = nullptr;
   Clock::time_point start_time_;
   mutable std::atomic<uint64_t> snapshot_seq_{0};
 

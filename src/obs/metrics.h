@@ -9,13 +9,16 @@
 /// name (MetricsRegistry::counter/gauge/histogram) is mutex-guarded but is a
 /// cold, once-per-name operation whose result should be cached by the caller.
 ///
-/// Snapshot contract (same shape as SatEngineStats): Record() bumps the
-/// bucket/sum/max cells with relaxed ordering and *then* the total count with
-/// release ordering; Snapshot() loads the count with acquire ordering *first*
-/// and the cells afterwards. A mid-flight snapshot may therefore observe
-/// bucket totals summing to >= the observed count (never less), and at
-/// quiescence (all recording threads joined or provably idle) every snapshot
-/// is exact.
+/// Snapshot contract (same shape as SatEngineStats, whose counters are
+/// registry Counters): Counter::Increment is a release add and value() an
+/// acquire load, so a reader that loads counter A before counter B, where
+/// every A increment happens-after its B increment, never sees A outrun B.
+/// Histogram::Record bumps the bucket/sum/max cells with relaxed ordering and
+/// *then* the total count with release ordering; Snapshot() loads the count
+/// with acquire ordering *first* and the cells afterwards. A mid-flight
+/// snapshot may therefore observe bucket totals summing to >= the observed
+/// count (never less), and at quiescence (all recording threads joined or
+/// provably idle) every snapshot is exact.
 
 #include <atomic>
 #include <cstdint>
@@ -30,10 +33,12 @@
 namespace xpathsat {
 namespace obs {
 
-/// Monotonic event counter.
+/// Monotonic event counter. Release increment, acquire read (see the
+/// snapshot contract above); on x86 the increment is the same `lock xadd` a
+/// relaxed one compiles to.
 class Counter {
  public:
-  void Increment(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_relaxed); }
+  void Increment(uint64_t n = 1) { value_.fetch_add(n, std::memory_order_release); }
   uint64_t value() const { return value_.load(std::memory_order_acquire); }
 
  private:

@@ -318,23 +318,13 @@ std::string FormatResultLine(uint64_t ticket_id, const std::string& query,
 std::string FormatStatsJson(const SatEngineStats& stats,
                             uint64_t live_dtd_handles) {
   std::ostringstream out;
-  out << "{\"requests\": " << stats.requests
-      << ", \"dtd_cache_hits\": " << stats.dtd_cache_hits
-      << ", \"dtd_cache_misses\": " << stats.dtd_cache_misses
-      << ", \"query_cache_hits\": " << stats.query_cache_hits
-      << ", \"query_cache_misses\": " << stats.query_cache_misses
-      << ", \"memo_hits\": " << stats.memo_hits
-      << ", \"memo_misses\": " << stats.memo_misses
-      << ", \"rewrite_cache_hits\": " << stats.rewrite_cache_hits
+  const char* sep = "{";
+  for (const SatEngineCounter& counter : kSatEngineCounters) {
+    out << sep << '"' << counter.name << "\": " << stats.*counter.field;
+    sep = ", ";
+  }
+  out << ", \"rewrite_cache_hits\": " << stats.rewrite_cache_hits
       << ", \"rewrite_cache_misses\": " << stats.rewrite_cache_misses
-      << ", \"parse_errors\": " << stats.parse_errors
-      << ", \"cancellations\": " << stats.cancellations
-      << ", \"deadline_expirations\": " << stats.deadline_expirations
-      << ", \"store_dtds_loaded\": " << stats.store_dtds_loaded
-      << ", \"store_memos_loaded\": " << stats.store_memos_loaded
-      << ", \"store_records_corrupt\": " << stats.store_records_corrupt
-      << ", \"store_records_rejected\": " << stats.store_records_rejected
-      << ", \"store_version_rejects\": " << stats.store_version_rejects
       << ", \"uptime_ms\": " << stats.uptime_ms
       << ", \"snapshot_seq\": " << stats.snapshot_seq
       << ", \"live_dtd_handles\": " << live_dtd_handles << "}";

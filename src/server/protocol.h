@@ -201,11 +201,11 @@ std::string EncodeFrame(const std::string& payload);
 std::string FormatResultLine(uint64_t ticket_id, const std::string& query,
                              const SatResponse& response);
 
-/// The bare stats JSON object (no tag), field names mirroring the CLI's
-/// --json output (requests, dtd_cache_hits, ..., deadline_expirations,
-/// uptime_ms, snapshot_seq) plus live_dtd_handles — the single source of
-/// truth for engine-stats fields, shared by the `stats` and `health` reply
-/// lines and the CLI's --json output.
+/// The bare stats JSON object (no tag): one key per kSatEngineCounters row
+/// (src/engine/sat_engine.h; `requests` first), then the rewrite-cache pair,
+/// uptime_ms, snapshot_seq and live_dtd_handles. Shared by the `stats` and
+/// `health` reply lines and the CLI's --json output; the counter keys are
+/// the registry names the `metrics` verb reports.
 std::string FormatStatsJson(const SatEngineStats& stats,
                             uint64_t live_dtd_handles);
 

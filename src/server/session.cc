@@ -52,6 +52,13 @@ ServerSession::ServerSession(SatEngine* engine, SessionOptions options,
       shared_(std::make_shared<Shared>()),
       authed_(options_.auth_secret.empty()) {
   shared_->sink = std::move(sink);
+  // Unset, `stats` and `health` serve the engine alone (the --serve shape).
+  if (!options_.stats_json) {
+    options_.stats_json = [engine] {
+      return protocol::FormatStatsJson(engine->stats(),
+                                       engine->live_dtd_handles());
+    };
+  }
 }
 
 ServerSession::~ServerSession() { Drain(); }
@@ -278,12 +285,7 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
                       std::to_string(engine_->uptime_ms()) + "}");
         return;
       }
-      shared_->sink("health " +
-                    (options_.health_json
-                         ? options_.health_json()
-                         : protocol::FormatStatsJson(
-                               engine_->stats(),
-                               engine_->live_dtd_handles())));
+      shared_->sink("health " + options_.stats_json());
       return;
     case Verb::kHello: {
       // Grant exactly what this transport supports, echoing in request
@@ -434,16 +436,7 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
       shared_->sink("ok flush");
       return;
     case Verb::kStats:
-      // Same injection pattern as health: the socket server serves the
-      // merged connection+engine object for both verbs, so `stats` over a
-      // socket and `health` never disagree on fields; the fallback is the
-      // engine-only object (the `--serve` shape).
-      shared_->sink("stats " +
-                    (options_.stats_json
-                         ? options_.stats_json()
-                         : protocol::FormatStatsJson(
-                               engine_->stats(),
-                               engine_->live_dtd_handles())));
+      shared_->sink("stats " + options_.stats_json());
       return;
     case Verb::kMetrics: {
       if (command.arg == "prom") {

@@ -58,17 +58,16 @@ struct SessionOptions {
   /// unauthenticated, so load balancers can probe without the secret).
   /// Anything else answers `err auth-required` and closes the session.
   std::string auth_secret;
-  /// Producer for the `health` reply's JSON object. The socket server
-  /// injects one that merges its connection counters with the engine stats;
-  /// unset falls back to the engine stats JSON alone.
-  std::function<std::string()> health_json;
-  /// Producer for the `stats` reply's JSON object. The socket server injects
-  /// the same merged object it serves for `health` (single source of truth);
-  /// unset falls back to the engine stats JSON alone (the `--serve` shape).
+  /// Producer for the JSON object both the `stats` and the (authenticated)
+  /// `health` reply carry, so the two verbs share one source. The socket
+  /// server injects one that wraps the engine stats in its connection
+  /// counters; unset falls back to the engine stats JSON alone (the
+  /// `--serve` shape).
   std::function<std::string()> stats_json;
   /// Producer for the `metrics` reply's JSON object. Unset falls back to the
   /// engine's registry + route counters alone; the socket server injects one
-  /// that merges its reactor/queue gauges in.
+  /// that merges its own registry (connection counters, reactor and worker
+  /// queue metrics) in.
   std::function<std::string()> metrics_json;
   /// Producer for the `metrics prom` multi-line text exposition (must end
   /// with a "# EOF" line). Same fallback/injection split as metrics_json.

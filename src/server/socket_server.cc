@@ -50,6 +50,11 @@ int64_t NowNs() {
 
 SocketServer::SocketServer(SatEngine* engine, SocketServerOptions options)
     : engine_(engine), options_(std::move(options)) {
+  connections_accepted_ = metrics_.counter("connections_accepted");
+  connections_active_ = metrics_.gauge("connections_active");
+  connections_rejected_ = metrics_.counter("connections_rejected");
+  connections_throttled_ = metrics_.counter("connections_throttled");
+  idle_evictions_ = metrics_.counter("idle_evictions");
   queue_depth_ = metrics_.gauge("worker_queue_depth");
   queue_wait_hist_ = metrics_.histogram("worker_queue_wait_ns");
   reactor_busy_hist_ = metrics_.histogram("reactor_loop_busy_ns");
@@ -72,21 +77,6 @@ std::string SocketServer::HealthJson() const {
   return out.str();
 }
 
-void SocketServer::MirrorConnectionGauges() {
-  // Snapshot-time mirror so scrapers get the connection counters in the same
-  // exposition as the histograms; the relaxed atomics stay the live source.
-  metrics_.gauge("connections_active")
-      ->Set(static_cast<int64_t>(connections_active()));
-  metrics_.gauge("connections_accepted")
-      ->Set(static_cast<int64_t>(connections_accepted()));
-  metrics_.gauge("connections_rejected")
-      ->Set(static_cast<int64_t>(connections_rejected()));
-  metrics_.gauge("connections_throttled")
-      ->Set(static_cast<int64_t>(connections_throttled()));
-  metrics_.gauge("idle_evictions")
-      ->Set(static_cast<int64_t>(idle_evictions()));
-}
-
 obs::MetricsRenderInput SocketServer::BuildRenderInput() {
   obs::MetricsRenderInput in;
   in.registries = {&engine_->metrics(), &metrics_};
@@ -97,12 +87,10 @@ obs::MetricsRenderInput SocketServer::BuildRenderInput() {
 }
 
 std::string SocketServer::MetricsJson() {
-  MirrorConnectionGauges();
   return obs::RenderMetricsJson(BuildRenderInput());
 }
 
 std::string SocketServer::MetricsProm() {
-  MirrorConnectionGauges();
   return obs::RenderMetricsProm(BuildRenderInput());
 }
 
@@ -352,7 +340,7 @@ void SocketServer::AcceptReady(const Listener& listener) {
     net::ScopedFd fd = std::move(accepted).value();
     const int64_t now = NowMs();
     if (listener.is_tcp && !ThrottleAllows(peer_ip, now)) {
-      connections_throttled_.fetch_add(1, std::memory_order_relaxed);
+      connections_throttled_->Increment();
       net::WriteAll(fd.get(),
                     protocol::FormatErr(
                         "throttled", "per-ip accept rate exceeded; retry") +
@@ -361,7 +349,7 @@ void SocketServer::AcceptReady(const Listener& listener) {
     }
     if (options_.max_connections > 0 &&
         connections_.size() >= options_.max_connections) {
-      connections_rejected_.fetch_add(1, std::memory_order_relaxed);
+      connections_rejected_->Increment();
       net::WriteAll(fd.get(),
                     protocol::FormatErr(
                         "busy", "max-connections (" +
@@ -401,17 +389,13 @@ void SocketServer::AdmitConnection(net::ScopedFd fd, bool is_tcp,
   // over this transport may grant `hello binary`.
   session_opt.binary_frames_supported = true;
   conn->decoder.set_allow_binary(true);
-  session_opt.health_json = [this] { return HealthJson(); };
-  // `stats` answers the same merged object as `health` — one source of
-  // truth, so the two verbs can never disagree on fields.
   session_opt.stats_json = [this] { return HealthJson(); };
   session_opt.metrics_json = [this] { return MetricsJson(); };
   session_opt.metrics_prom = [this] { return MetricsProm(); };
-  std::shared_ptr<WriteState> write_state = conn->write_state;
-  std::shared_ptr<std::atomic<int64_t>> activity = conn->last_activity_ms;
   conn->session.reset(new ServerSession(
       engine_, std::move(session_opt),
-      [raw_fd, write_state, activity](const std::string& line) {
+      [raw_fd, write_state = conn->write_state,
+       activity = conn->last_activity_ms](const std::string& line) {
         util::MutexLock lock(write_state->mu);
         if (write_state->dead) return;
         if (net::WriteAll(raw_fd, line + "\n").ok()) {
@@ -426,13 +410,13 @@ void SocketServer::AdmitConnection(net::ScopedFd fd, bool is_tcp,
   if (!added.ok()) {
     // Cannot watch it (poller table pressure): refuse service rather than
     // admit a connection that would never be read.
-    connections_rejected_.fetch_add(1, std::memory_order_relaxed);
+    connections_rejected_->Increment();
     conn->session.reset();
     return;
   }
   conn->in_poller = true;
-  connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-  connections_active_.fetch_add(1, std::memory_order_relaxed);
+  connections_accepted_->Increment();
+  connections_active_->Add(1);
   connections_[raw_fd] = conn;
   if (!wheel_.empty()) WheelInsert(conn.get(), options_.idle_timeout_ms);
 }
@@ -638,7 +622,7 @@ void SocketServer::AdvanceWheel(int64_t now_ms) {
       }
       auto it = connections_.find(conn->fd.get());
       if (it == connections_.end()) continue;
-      idle_evictions_.fetch_add(1, std::memory_order_relaxed);
+      idle_evictions_->Increment();
       CloseInput(it->second, /*timed_out=*/true);
     }
   }
@@ -759,7 +743,7 @@ void SocketServer::TearDown(const std::shared_ptr<Connection>& conn,
     conn->torn_down = true;
     conn->scheduled = false;
   }
-  connections_active_.fetch_sub(1, std::memory_order_relaxed);
+  connections_active_->Add(-1);
   {
     util::MutexLock lock(ctrl_mu_);
     ctrl_retired_.push_back(conn);

@@ -61,8 +61,9 @@ struct SocketServerOptions {
   /// TCP bind address; loopback by default — binding wider than loopback is
   /// an explicit caller decision (pair it with auth_secret).
   std::string tcp_host = "127.0.0.1";
-  /// Forwarded to every connection's session (auth_secret and health_json
-  /// below override the corresponding session fields).
+  /// Forwarded to every connection's session. The server overrides
+  /// auth_secret (from the field below), binary_frames_supported, and the
+  /// stats_json / metrics_json / metrics_prom producers.
   SessionOptions session;
   /// Per-line byte cap before a connection's input is answered with
   /// `err oversized-line` and discarded to the next newline.
@@ -119,36 +120,36 @@ class SocketServer {
   int tcp_port() const { return bound_tcp_port_; }
   const std::string& unix_path() const { return options_.unix_path; }
 
+  // The connection accessors read the server registry's cells — the same
+  // ones `metrics` renders (four counters and the connections_active gauge).
+
   /// Connections actually admitted to service (rejected/throttled/stop-race
   /// accepts are NOT counted here — see connections_rejected()).
   uint64_t connections_accepted() const {
-    return connections_accepted_.load(std::memory_order_relaxed);
+    return connections_accepted_->value();
   }
   /// Admitted connections not yet torn down.
   uint64_t connections_active() const {
-    return connections_active_.load(std::memory_order_relaxed);
+    return static_cast<uint64_t>(connections_active_->value());
   }
   /// Accepts answered `err busy` (max_connections cap).
   uint64_t connections_rejected() const {
-    return connections_rejected_.load(std::memory_order_relaxed);
+    return connections_rejected_->value();
   }
   /// Accepts answered `err throttled` (per-IP rate).
   uint64_t connections_throttled() const {
-    return connections_throttled_.load(std::memory_order_relaxed);
+    return connections_throttled_->value();
   }
   /// Connections evicted by the idle timeout.
-  uint64_t idle_evictions() const {
-    return idle_evictions_.load(std::memory_order_relaxed);
-  }
+  uint64_t idle_evictions() const { return idle_evictions_->value(); }
 
-  /// The `health` reply's JSON object: server connection counters plus the
-  /// engine stats (also what load balancers poll). The socket-served `stats`
-  /// verb answers this same object — one source of truth for both.
+  /// The `health` and `stats` replies' JSON object: server connection
+  /// counters plus the engine stats (also what load balancers poll).
   std::string HealthJson() const;
 
-  /// The `metrics` reply's JSON object: engine histograms/routes merged
-  /// with the server's reactor-loop and worker-queue metrics (connection
-  /// counters mirrored in as gauges at snapshot time).
+  /// The `metrics` reply's JSON object: engine counters, histograms and
+  /// routes merged with the server's connection counters and reactor-loop
+  /// and worker-queue metrics.
   std::string MetricsJson();
   /// The `metrics prom` multi-line text exposition over the same merged
   /// inputs; ends with a "# EOF" line.
@@ -267,7 +268,6 @@ class SocketServer {
 
   // Observability plumbing (metrics definitions in the ctor).
   obs::MetricsRenderInput BuildRenderInput();
-  void MirrorConnectionGauges();
 
   SatEngine* engine_;
   SocketServerOptions options_;
@@ -311,15 +311,16 @@ class SocketServer {
   // is still live.
   util::Mutex stop_mu_;
   bool stopped_ GUARDED_BY(stop_mu_) = false;
-  std::atomic<uint64_t> connections_accepted_{0};
-  std::atomic<uint64_t> connections_active_{0};
-  std::atomic<uint64_t> connections_rejected_{0};
-  std::atomic<uint64_t> connections_throttled_{0};
-  std::atomic<uint64_t> idle_evictions_{0};
 
-  // Server-side metrics: worker-queue depth/wait and reactor-loop busy time,
-  // mutated lock-free on the serving paths through pre-resolved pointers.
+  // Server-side metrics: connection counters, worker-queue depth/wait and
+  // reactor-loop busy time, mutated lock-free on the serving paths through
+  // pointers resolved in the constructor.
   obs::MetricsRegistry metrics_;
+  obs::Counter* connections_accepted_ = nullptr;
+  obs::Gauge* connections_active_ = nullptr;
+  obs::Counter* connections_rejected_ = nullptr;
+  obs::Counter* connections_throttled_ = nullptr;
+  obs::Counter* idle_evictions_ = nullptr;
   obs::Gauge* queue_depth_ = nullptr;
   obs::Histogram* queue_wait_hist_ = nullptr;
   obs::Histogram* reactor_busy_hist_ = nullptr;

@@ -2,14 +2,17 @@
 # workload through `xpathsat_cli --serve`, then checks that every line of
 # the exposition block parses as either a `#` comment or a
 # `xpathsat_<name>{labels}? <integer>` sample, that the mandatory histogram
-# series (+Inf bucket, _sum, _count) and the route family are present, and
-# that the block is terminated by the `# EOF` marker.
+# series (+Inf bucket, _sum, _count) and the route family are present, that
+# the engine counters behind `stats` are exposed typed `counter`, and that
+# the block is terminated by the `# EOF` marker.
 #
 # When SERVER is also given, the identical workload is replayed against a
 # live `xpathsat_server` unix socket through `xpathsat_cli --connect` and
 # the exposition must lint identically: the socket layer forwards the
 # multi-line block verbatim (the blank-line-inside-a-block splitter bug
-# lived exactly here).
+# lived exactly here). The socket replay must also carry the server's
+# connection counters: monotonic counts typed `counter`, the live count a
+# `gauge`.
 #
 # Invoked as:
 #   cmake -DCLI=<xpathsat_cli> [-DSERVER=<xpathsat_server>]
@@ -20,11 +23,14 @@ endif()
 
 file(MAKE_DIRECTORY ${WORK_DIR})
 file(WRITE ${WORK_DIR}/lint_a.dtd "root r\nr -> A, B*\nA -> eps\nB -> eps\n")
-# Repeat one query so the memo-hit route shows up; flush so every request
-# has been traced before the exposition is taken.
+# Repeat one query so the memo-hit route shows up (the first flush lets the
+# first A land in the memo before the repeat, which a parallel engine could
+# otherwise run alongside it); flush so every request has been traced before
+# the exposition is taken.
 file(WRITE ${WORK_DIR}/lint_input.txt
 "dtd a lint_a.dtd
 query a A
+flush
 query a B
 query a A
 flush
@@ -32,16 +38,19 @@ metrics prom
 quit
 ")
 
-# Lint one captured transcript: mandatory series present, every line of the
-# block parseable, `# EOF` terminator seen, sample count sane.
+# Lint one captured transcript: mandatory series (plus any extra needles
+# passed after `label`) present, every line of the block parseable, `# EOF`
+# terminator seen, sample count sane.
 function(lint_exposition text label)
-  foreach(needle
+  foreach(needle ${ARGN}
       "# TYPE xpathsat_request_total_ns histogram"
       "_bucket{le=\"+Inf\"}"
       "xpathsat_request_total_ns_sum"
       "xpathsat_request_total_ns_count 3"
       "# TYPE xpathsat_requests_by_route_total counter"
       "{route=\"memo-hit\"} 1"
+      "# TYPE xpathsat_memo_hits counter"
+      "# TYPE xpathsat_requests counter"
       "# EOF")
     string(FIND "${text}" "${needle}" pos)
     if(pos EQUAL -1)
@@ -121,5 +130,7 @@ kill -TERM $spid 2>/dev/null; wait $spid 2>/dev/null; exit $rv"
   if(NOT socket_rv EQUAL 0)
     message(FATAL_ERROR "socket client exited with ${socket_rv}\nstdout:\n${socket_out}\nstderr:\n${socket_err}")
   endif()
-  lint_exposition("${socket_out}" "live socket path")
+  lint_exposition("${socket_out}" "live socket path"
+    "# TYPE xpathsat_connections_accepted counter"
+    "# TYPE xpathsat_connections_active gauge")
 endif()

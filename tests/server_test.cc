@@ -18,7 +18,10 @@
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -1071,6 +1074,151 @@ TEST(SocketServerTest, MaxConnectionsRejectsWithErrBusy) {
   }
   EXPECT_TRUE(admitted) << "slot never freed after quit";
   server.Stop();
+}
+
+// Every `"key": <integer>` pair in `json`, at any nesting depth (keys are
+// unique across the objects this test reads).
+std::map<std::string, int64_t> NumericFields(const std::string& json) {
+  std::map<std::string, int64_t> out;
+  size_t pos = 0;
+  while ((pos = json.find('"', pos)) != std::string::npos) {
+    const size_t end = json.find('"', pos + 1);
+    if (end == std::string::npos) break;
+    const std::string key = json.substr(pos + 1, end - pos - 1);
+    pos = end + 1;
+    if (json.compare(pos, 2, ": ") != 0) continue;
+    const size_t digits = pos + 2;
+    size_t stop = digits;
+    if (stop < json.size() && json[stop] == '-') ++stop;
+    while (stop < json.size() &&
+           std::isdigit(static_cast<unsigned char>(json[stop]))) {
+      ++stop;
+    }
+    if (stop == digits) continue;  // a string or object value
+    out[key] = std::stoll(json.substr(digits, stop - digits));
+    pos = stop;
+  }
+  return out;
+}
+
+// The flat object `"name": {...}` inside a `metrics` reply.
+std::string MetricsSection(const std::string& metrics,
+                           const std::string& name) {
+  const size_t open = metrics.find("\"" + name + "\": {");
+  if (open == std::string::npos) return "";
+  const size_t close = metrics.find('}', open);
+  return metrics.substr(open, close - open + 1);
+}
+
+// One counter store: `stats` (connection counters wrapping the engine stats)
+// and `metrics` must report the same value for every counter once all work
+// has resolved. The workload touches every counter family: memo hits and
+// misses, a parse error, a cancel, deadline expiries, a snapshot load with a
+// corrupt record, and a connection refused at max_connections. Only the
+// equalities are asserted, never particular counts, so a cancel or deadline
+// that loses its race leaves the test as valid as one that wins.
+TEST(SocketServerTest, StatsAndMetricsAgree) {
+  SatEngineOptions eopt;
+  eopt.num_threads = 1;  // heavy queries queue, so deadlines and cancels bite
+  SatEngine engine(eopt);
+  std::string dtd_path = WriteTempDtd("socket_agree.dtd");
+  const std::string snap_path = testing::TempDir() + "socket_agree.xpsnap";
+  SocketServerOptions opt;
+  opt.unix_path = SocketPath("agree");
+  opt.max_connections = 1;
+  opt.session.deadline_ms = 2;
+  SocketServer server(&engine, opt);
+  ASSERT_TRUE(server.Start().ok());
+
+  Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
+  ASSERT_TRUE(fd.ok()) << fd.error();
+  TestClient client(std::move(fd).value());
+  client.Send("dtd cat " + dtd_path);
+  client.WaitFor("ok dtd");
+  client.Send("query cat section/item");
+  client.Send("flush");
+  client.WaitFor("ok flush");
+  client.Send("query cat section/item");
+  client.Send("query cat ][");
+  client.Send("save " + snap_path);
+  client.WaitFor("ok save");
+
+  // The admitted client holds the only slot: this accept is refused.
+  {
+    Result<net::ScopedFd> extra = net::ConnectUnix(opt.unix_path);
+    ASSERT_TRUE(extra.ok()) << extra.error();
+    TestClient rejected(std::move(extra).value());
+    rejected.WaitFor("err busy");
+    rejected.WaitForEof();
+  }
+
+  // Flip a byte inside the first record: the load skips it (and the memo
+  // record that depended on it).
+  {
+    std::ifstream in(snap_path, std::ios::binary);
+    std::string data((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    ASSERT_GT(data.size(), 20u);
+    data[12 + 5] ^= 0x01;
+    std::ofstream out(snap_path, std::ios::binary | std::ios::trunc);
+    out.write(data.data(), static_cast<std::streamsize>(data.size()));
+  }
+  client.Send("load " + snap_path);
+  client.WaitFor("ok load");
+
+  // Distinct NP skeleton searches (no memo hits among them) queue on the one
+  // worker; the tail is cancelled, and whatever waits past the 2 ms deadline
+  // expires.
+  std::string heavy = "**/item[title && note";
+  for (int i = 0; i < 100; ++i) {
+    heavy += " && note";
+    client.Send("query cat " + heavy + "]");
+  }
+  client.Send("query cat section/heading");
+  std::string tail_ack;
+  for (int i = 0; i < 101; ++i) tail_ack = client.WaitFor("ok query ");
+  client.Send("cancel " + tail_ack.substr(std::string("ok query ").size()));
+  client.WaitForAny({"ok cancel", "err not-cancellable", "err unknown-ticket"});
+  client.Send("flush");
+  client.WaitFor("ok flush");
+
+  client.Send("stats");
+  const std::map<std::string, int64_t> stats =
+      NumericFields(client.WaitFor("stats {"));
+  client.Send("metrics");
+  const std::string metrics = client.WaitFor("metrics {");
+  std::map<std::string, int64_t> cells =
+      NumericFields(MetricsSection(metrics, "counters"));
+  for (const auto& [name, value] :
+       NumericFields(MetricsSection(metrics, "gauges"))) {
+    cells[name] = value;
+  }
+  std::map<std::string, int64_t> routes =
+      NumericFields(MetricsSection(metrics, "routes"));
+
+  // Not registry counters: the rewrite pair lives on RewriteCache;
+  // uptime_ms and snapshot_seq are stamped per reply; live_dtd_handles is
+  // the handle refcount, shared with pins that may outlive the engine.
+  const std::set<std::string> not_in_registry = {
+      "rewrite_cache_hits", "rewrite_cache_misses", "uptime_ms",
+      "snapshot_seq", "live_dtd_handles"};
+  size_t compared = 0;
+  for (const auto& [name, value] : stats) {
+    if (not_in_registry.count(name) != 0) continue;
+    ASSERT_EQ(cells.count(name), 1u) << name << " missing from metrics";
+    EXPECT_EQ(cells[name], value) << name;
+    ++compared;
+  }
+  EXPECT_EQ(compared, kNumSatEngineCounters + 5) << "15 engine + 5 server";
+  EXPECT_EQ(stats.at("memo_hits"), routes["memo-hit"]);
+  EXPECT_EQ(stats.at("cancellations"), routes["cancelled"]);
+  EXPECT_EQ(stats.at("deadline_expirations"), routes["deadline"]);
+  EXPECT_EQ(stats.at("parse_errors"), routes["parse-error"]);
+
+  client.Send("quit");
+  client.WaitFor("ok quit");
+  server.Stop();
+  std::remove(snap_path.c_str());
 }
 
 TEST(SocketServerTest, PerIpThrottleAnswersErrThrottledOnTcp) {

@@ -46,6 +46,15 @@ Rules (ids are stable; failures print one machine-readable line each):
                   ParseIntFlag implementations. Shared logic belongs in
                   src/util/ (thin per-tool wrappers under the threshold are
                   fine).
+  counter-store   outside src/obs/ and src/util/, a named std::atomic
+                  integer declaration (in practice a data member, possibly
+                  behind a shared_ptr) must be on an explicit allowlist:
+                  the id sequences next_handle_id / next_ticket_id /
+                  snapshot_seq, the timestamps last_activity_ms /
+                  enqueued_at_ns, and the live_handles refcount (a trailing
+                  member `_` is ignored). Anything else is an event counter
+                  and belongs in an obs::MetricsRegistry, where `stats` and
+                  `metrics` read the same cell.
 
 Failure output (one line per finding, exit 1):
   INVARIANT-FAIL rule=<id> file=<path> msg=<message>
@@ -60,7 +69,7 @@ import re
 import sys
 
 ALL_RULES = ("verb-doc", "mutex-guard", "banned-pattern", "err-slug-doc",
-             "store-version", "client-sync", "dup-helper")
+             "store-version", "client-sync", "dup-helper", "counter-store")
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -406,6 +415,47 @@ def rule_dup_helper(root):
     return findings
 
 
+# `std::atomic<INT>` (optionally wrapped, e.g. in shared_ptr<...>) or an
+# integer std::atomic_* alias, followed by the declared name.
+ATOMIC_INT_DECL = re.compile(
+    r"std::atomic(?:<\s*(?:std::)?(?:unsigned\s+|signed\s+)?"
+    r"(?:u?int(?:8|16|32|64)_t|size_t|ssize_t|ptrdiff_t|int|long\s+long|"
+    r"long|short|unsigned|char)\s*>|_u?(?:int|long|llong|short|size_t)\w*)"
+    r"(?:\s*>)*\s+(\w+)\s*[{=;\[]")
+COUNTER_STORE_ALLOWLIST = frozenset((
+    "next_handle_id", "next_ticket_id", "snapshot_seq",  # id sequences
+    "last_activity_ms", "enqueued_at_ns",                # timestamps
+    "live_handles",                                      # handle refcount
+))
+
+
+def rule_counter_store(root):
+    """Event counters live in one store, obs::MetricsRegistry: a private
+    std::atomic counter next to it is a second source of truth that `stats`
+    and `metrics` can disagree over. Only ids, timestamps and the handle
+    refcount — not events — may stay bare atomics outside src/obs/ and
+    src/util/."""
+    findings = []
+    for path in source_files(root, ("src", "tools")):
+        r = rel(root, path)
+        parts = r.split(os.sep)
+        if parts[0] == "src" and len(parts) >= 2 and parts[1] in ("obs",
+                                                                  "util"):
+            continue
+        text = strip_comments(read(path))
+        for m in ATOMIC_INT_DECL.finditer(text):
+            name = m.group(1)
+            if name.rstrip("_") in COUNTER_STORE_ALLOWLIST:
+                continue
+            findings.append(
+                (r, "line %d: std::atomic integer '%s' is not an allowlisted "
+                 "id, timestamp or refcount — count events through an "
+                 "obs::Counter/obs::Gauge in the component's MetricsRegistry "
+                 "so `stats` and `metrics` read one cell"
+                 % (line_of(text, m.start()), name)))
+    return findings
+
+
 RULES = {
     "verb-doc": rule_verb_doc,
     "mutex-guard": rule_mutex_guard,
@@ -414,6 +464,7 @@ RULES = {
     "store-version": rule_store_version,
     "client-sync": rule_client_sync,
     "dup-helper": rule_dup_helper,
+    "counter-store": rule_counter_store,
 }
 
 
