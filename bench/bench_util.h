@@ -4,11 +4,8 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
-#include <vector>
 
-#include "src/obs/metrics.h"
 #include "src/util/rng.h"
 
 namespace xpathsat {
@@ -20,76 +17,6 @@ inline void BenchCheck(bool ok, const std::string& what) {
     std::fprintf(stderr, "BENCH CORRECTNESS FAILURE: %s\n", what.c_str());
     std::abort();
   }
-}
-
-/// Collects named metrics and writes them as a flat JSON document, so bench
-/// binaries can emit machine-readable results (`--json FILE`) and the perf
-/// trajectory can be tracked across PRs (e.g. BENCH_engine.json).
-class BenchReport {
- public:
-  /// Records one metric; also echoes it human-readably to stdout.
-  void Add(const std::string& name, double value, const std::string& unit) {
-    metrics_.push_back({name, value, unit});
-    std::printf("%-48s %14.2f %s\n", name.c_str(), value, unit.c_str());
-  }
-
-  double Get(const std::string& name, double fallback = 0.0) const {
-    for (const Metric& m : metrics_) {
-      if (m.name == name) return m.value;
-    }
-    return fallback;
-  }
-
-  /// Writes `{"benchmark": <label>, "metrics": [{name,value,unit}...]}`.
-  /// Returns false (with a message on stderr) when the file cannot be
-  /// written.
-  bool WriteJson(const std::string& path, const std::string& label) const {
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return false;
-    }
-    out << "{\n  \"benchmark\": \"" << label << "\",\n  \"metrics\": [\n";
-    for (size_t i = 0; i < metrics_.size(); ++i) {
-      out << "    {\"name\": \"" << metrics_[i].name
-          << "\", \"value\": " << metrics_[i].value << ", \"unit\": \""
-          << metrics_[i].unit << "\"}" << (i + 1 < metrics_.size() ? "," : "")
-          << "\n";
-    }
-    out << "  ]\n}\n";
-    std::printf("wrote %s\n", path.c_str());
-    return true;
-  }
-
- private:
-  struct Metric {
-    std::string name;
-    double value;
-    std::string unit;
-  };
-  std::vector<Metric> metrics_;
-};
-
-/// Folds a latency histogram snapshot into the report as four `<phase>_*_us`
-/// metrics. Percentiles are the log2-bucket upper bounds the histogram
-/// reports (within 2x of the true value — see src/obs/metrics.h); max is
-/// exact.
-inline void AddLatencyPercentiles(BenchReport* report, const std::string& phase,
-                                  const obs::Histogram::Snapshot& snapshot) {
-  report->Add(phase + "_p50_us", snapshot.PercentileNs(0.50) / 1e3, "us");
-  report->Add(phase + "_p90_us", snapshot.PercentileNs(0.90) / 1e3, "us");
-  report->Add(phase + "_p99_us", snapshot.PercentileNs(0.99) / 1e3, "us");
-  report->Add(phase + "_max_us", snapshot.max_ns / 1e3, "us");
-}
-
-/// The `--json FILE` convention for standalone bench mains: returns the path
-/// following a `--json` argument, or `fallback` when absent.
-inline std::string BenchJsonPath(int argc, char** argv,
-                                 const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") return argv[i + 1];
-  }
-  return fallback;
 }
 
 }  // namespace xpathsat

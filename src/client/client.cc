@@ -318,7 +318,7 @@ Result<Client::BatchHandle> Client::SubmitBatch(
 }
 
 void Client::ReaderLoop() {
-  net::LineReader reader(fd_.get(), options_.max_line_bytes);
+  net::LineReader reader(fd_.get(), protocol::kMaxLineBytes);
   std::string line;
   std::string error;
   for (;;) {

@@ -77,8 +77,6 @@ struct ClientOptions {
   /// SubmitBatch degrades gracefully when a feature was declined.
   bool negotiate_batch = false;
   bool negotiate_binary = false;
-  /// Reply-line cap for the reader (requests are capped by the protocol).
-  size_t max_line_bytes = protocol::kMaxLineBytes;
 };
 
 /// What a completed query looks like to a callback.

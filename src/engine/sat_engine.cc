@@ -1,7 +1,5 @@
 #include "src/engine/sat_engine.h"
 
-#include <iterator>
-#include <list>
 #include <map>
 #include <utility>
 #include <vector>
@@ -28,16 +26,13 @@ struct TicketState {
   // completion can read the response without holding a SatTicket.
   std::shared_future<SatResponse> future;
 
-  // Completion callbacks. `fulfilled` flips under cb_mu strictly BEFORE
-  // set_value (see Fulfill for why); a registration that observes
-  // fulfilled == true reads future.get(), blocking at most for the
-  // flip->set_value instant. A std::list so WaitAny can deregister its
-  // waiters by iterator when it returns — while fulfilled is still false
-  // the iterators are owned by this list; after the flip they belong to
-  // Fulfill's drained copy and must not be touched.
+  // Completion callbacks, run in registration order. `fulfilled` flips
+  // under cb_mu strictly BEFORE set_value (see Fulfill for why); a
+  // registration that observes fulfilled == true reads future.get(),
+  // blocking at most for the flip->set_value instant.
   util::Mutex cb_mu;
   bool fulfilled GUARDED_BY(cb_mu) = false;
-  std::list<std::function<void(const SatResponse&)>> callbacks
+  std::vector<std::function<void(const SatResponse&)>> callbacks
       GUARDED_BY(cb_mu);
 
   // The single fulfilment point: drains the registered callbacks, resolves
@@ -52,11 +47,11 @@ struct TicketState {
   // callbacks are moved out under cb_mu before running so a callback that
   // registers another callback never deadlocks.
   void Fulfill(SatResponse response) {
-    std::list<std::function<void(const SatResponse&)>> ready;
+    std::vector<std::function<void(const SatResponse&)>> ready;
     {
       util::MutexLock lock(cb_mu);
       fulfilled = true;
-      ready.splice(ready.begin(), callbacks);
+      ready.swap(callbacks);
     }
     promise.set_value(std::move(response));
     if (!ready.empty()) {
@@ -142,78 +137,6 @@ void SatTicket::OnComplete(std::function<void(const SatResponse&)> cb) const {
   cb(future_.get());
 }
 
-int SatTicket::WaitAny(const std::vector<SatTicket>& tickets,
-                       int64_t timeout_ms) {
-  using engine_internal::TicketState;
-  struct Waiter {
-    util::Mutex mu;
-    util::CondVar cv;
-    int ready GUARDED_BY(mu) = -1;
-  };
-  // Registrations are deregistered by iterator on every exit path, so a
-  // caller polling WaitAny in a loop over long-queued tickets does not
-  // accumulate dead closures in their callback lists (the header promises
-  // this). The weak capture covers the unavoidable race where a ticket
-  // fulfils between the wait ending and the cleanup below: the drained
-  // callback finds an expired waiter and does nothing.
-  struct Registration {
-    std::shared_ptr<TicketState> state;
-    std::list<std::function<void(const SatResponse&)>>::iterator where;
-  };
-  auto waiter = std::make_shared<Waiter>();
-  std::vector<Registration> registrations;
-  bool any_valid = false;
-  int ready_now = -1;
-  for (size_t i = 0; i < tickets.size() && ready_now < 0; ++i) {
-    if (!tickets[i].valid()) continue;
-    any_valid = true;
-    std::shared_ptr<TicketState> state = tickets[i].state_;
-    util::MutexLock lock(state->cb_mu);
-    if (state->fulfilled) {
-      ready_now = static_cast<int>(i);
-      break;
-    }
-    state->callbacks.push_back(
-        [weak = std::weak_ptr<Waiter>(waiter), i](const SatResponse&) {
-          std::shared_ptr<Waiter> w = weak.lock();
-          if (w == nullptr) return;
-          {
-            util::MutexLock lock(w->mu);
-            if (w->ready < 0 || static_cast<size_t>(w->ready) > i) {
-              w->ready = static_cast<int>(i);
-            }
-          }
-          w->cv.NotifyAll();
-        });
-    auto where = std::prev(state->callbacks.end());
-    registrations.push_back(Registration{std::move(state), where});
-  }
-  int result = ready_now;
-  if (result < 0 && any_valid) {
-    util::MutexLock lock(waiter->mu);
-    if (timeout_ms < 0) {
-      while (waiter->ready < 0) waiter->cv.Wait(waiter->mu);
-    } else {
-      const auto deadline = std::chrono::steady_clock::now() +
-                            std::chrono::milliseconds(timeout_ms);
-      // WaitUntil returns false only on deadline expiry, which ends the
-      // loop with ready still -1 — the documented timeout result.
-      while (waiter->ready < 0 &&
-             waiter->cv.WaitUntil(waiter->mu, deadline)) {
-      }
-    }
-    result = waiter->ready;  // -1 on timeout
-  }
-  for (Registration& registration : registrations) {
-    util::MutexLock lock(registration.state->cb_mu);
-    // After fulfilment the iterator belongs to Fulfill's drained list.
-    if (!registration.state->fulfilled) {
-      registration.state->callbacks.erase(registration.where);
-    }
-  }
-  return result;
-}
-
 namespace {
 
 // The engine-wide shard target: the cache_shards option (0 = hardware
@@ -242,7 +165,6 @@ size_t CapShards(size_t target, size_t max_shards) {
 
 SatEngineOptions SatEngine::Normalize(SatEngineOptions options) {
   if (options.dtd_cache_capacity < 1) options.dtd_cache_capacity = 1;
-  if (options.query_cache_capacity < 2) options.query_cache_capacity = 2;
   return options;
 }
 
@@ -255,10 +177,9 @@ SatEngine::SatEngine(const SatEngineOptions& options)
       dtd_cache_(options_.dtd_cache_capacity,
                  CapShards(resolved_shards_, options_.dtd_cache_capacity / 4),
                  /*count_probes=*/false),
-      query_cache_(
-          options_.query_cache_capacity,
-          CapShards(resolved_shards_, options_.query_cache_capacity / 2),
-          /*count_probes=*/false),
+      query_cache_(kQueryCacheCapacity,
+                   CapShards(resolved_shards_, kQueryCacheCapacity / 2),
+                   /*count_probes=*/false),
       // Sized even when disabled (ShardedLruCache has no empty state); the
       // memo_enabled gate in Execute keeps a disabled memo untouched.
       memo_(options_.memo_capacity > 0 ? options_.memo_capacity : 1,
@@ -269,7 +190,7 @@ SatEngine::SatEngine(const SatEngineOptions& options)
                                resolved_shards_)
                          : nullptr),
       live_handles_(std::make_shared<std::atomic<uint64_t>>(0)),
-      slow_log_(options_.slow_log_capacity),
+      slow_log_(kSlowLogCapacity),
       start_time_(Clock::now()),
       reaper_([this] { ReaperLoop(); }),
       pool_(options_.num_threads) {

@@ -20,9 +20,9 @@
 //     (work that started in time runs to completion). Run and RunBatch are
 //     thin wrappers over Submit — there is exactly one execution path.
 //     Reactive callers use SatTicket::OnComplete (a callback fired on every
-//     fulfilment path: computed, cancelled, expired) or SatTicket::WaitAny
-//     instead of one blocking Get per ticket — this is what the socket
-//     server (src/server/) pipelines out-of-order responses with.
+//     fulfilment path: computed, cancelled, expired) instead of one blocking
+//     Get per ticket — this is what the socket server (src/server/)
+//     pipelines out-of-order responses with.
 //   * Verdict memoization: a sharded LRU cache keyed by (canonical query
 //     printing, DTD fingerprint, SatOptions::Digest()) sitting above the
 //     artifact caches; a repeat request returns the memoized SatReport
@@ -41,7 +41,7 @@
 // concurrent clients funneling into one engine (the socket server's shape)
 // do not serialize on a single cache mutex. SatEngineOptions::cache_shards
 // tunes the shard count; 1 reproduces the old single-mutex layout exactly
-// (the parity baseline in tests and benches).
+// (the parity baseline in tests).
 //
 // Verdict parity: the engine runs the same Sec. 8 dispatch over the same
 // CompiledDtd that DecideSatisfiability(parse(query), dtd, options) builds,
@@ -91,9 +91,6 @@ struct SatEngineOptions {
   /// Compiled DTDs kept (LRU by fingerprint). Must be >= 1. Live DtdHandles
   /// pin their artifacts regardless of eviction.
   size_t dtd_cache_capacity = 64;
-  /// Cached query keys kept (LRU; canonical entries plus raw aliases).
-  /// Must be >= 2 (an entry and its alias).
-  size_t query_cache_capacity = 4096;
   /// Memoized verdicts kept (LRU by (canonical query, DTD fingerprint,
   /// options digest)). 0 disables verdict memoization entirely.
   size_t memo_capacity = 8192;
@@ -115,9 +112,6 @@ struct SatEngineOptions {
   /// verb). <= 0 disables the log; the fast path pays one comparison either
   /// way. Default 10ms.
   int64_t slow_request_ns = 10 * 1000 * 1000;
-  /// Slow-query ring capacity; when full the oldest record is dropped (and
-  /// counted) rather than blocking or growing.
-  size_t slow_log_capacity = 64;
 };
 
 /// A refcounted registration of a compiled DTD with a SatEngine. Copyable
@@ -224,15 +218,6 @@ class SatTicket {
   /// must not block on other engine work (they run on the fulfilling
   /// thread). Multiple registrations all fire, in registration order.
   void OnComplete(std::function<void(const SatResponse&)> cb) const;
-
-  /// Blocks until at least one ticket in `tickets` is ready and returns its
-  /// index (the lowest ready index observed). Returns -1 when `timeout_ms`
-  /// >= 0 elapses first, or immediately when every ticket is invalid.
-  /// `timeout_ms` < 0 waits without bound. Registered waiters are one-shot
-  /// and self-expiring: repeated WaitAny calls over the same tickets do not
-  /// accumulate live state.
-  static int WaitAny(const std::vector<SatTicket>& tickets,
-                     int64_t timeout_ms = -1);
 
  private:
   friend class SatEngine;
@@ -500,7 +485,13 @@ class SatEngine {
 
   using Clock = std::chrono::steady_clock;
 
-  /// Clamps capacities (dtd >= 1, query >= 2) once, before the caches are
+  /// Cached query keys kept (LRU; canonical entries plus raw aliases).
+  static constexpr size_t kQueryCacheCapacity = 4096;
+  /// Slow-query ring capacity; when full the oldest record is dropped (and
+  /// counted) rather than blocking or growing.
+  static constexpr size_t kSlowLogCapacity = 64;
+
+  /// Clamps dtd_cache_capacity to >= 1 once, before the caches are
   /// constructed from the stored options.
   static SatEngineOptions Normalize(SatEngineOptions options);
 

@@ -200,7 +200,8 @@ void ServerSession::DispatchBatch() {
     request.query = member.arg;
     request.dtd = schemas_.find(member.name)->second;
     request.deadline_ms = options_.deadline_ms;
-    request.options.compute_witness = options_.compute_witness;
+    // Service traffic wants verdicts, not witness trees.
+    request.options.compute_witness = false;
     request.wire_decode_ns = batch->member_decode_ns[i];
     tickets.push_back(engine_->Submit(std::move(request)));
     ids.push_back(tickets.back().id());
@@ -377,7 +378,8 @@ void ServerSession::HandleCommand(const protocol::Command& command) {
       request.query = command.arg;
       request.dtd = it->second;
       request.deadline_ms = options_.deadline_ms;
-      request.options.compute_witness = options_.compute_witness;
+      // Service traffic wants verdicts, not witness trees.
+      request.options.compute_witness = false;
       request.wire_decode_ns = current_decode_ns_;
       SatTicket ticket = engine_->Submit(std::move(request));
       const uint64_t id = ticket.id();

@@ -43,9 +43,6 @@ namespace server {
 struct SessionOptions {
   /// Per-request deadline cap forwarded to every submitted query (0: none).
   int64_t deadline_ms = 0;
-  /// Service traffic wants verdicts; witnesses are off unless a front end
-  /// opts in.
-  bool compute_witness = false;
   /// In-flight ticket cap per session: a `query` that would exceed it
   /// blocks HandleLine until a completion frees a slot, back-pressuring the
   /// connection (the reader stalls, so the kernel stalls the client's

@@ -167,11 +167,10 @@ Status SocketServer::Start() {
     next_tick_at_ms_ = NowMs() + wheel_tick_ms_;
   }
 
-  int workers = options_.worker_threads;
-  if (workers < 1) {
-    workers = static_cast<int>(std::thread::hardware_concurrency());
-    workers = std::min(8, std::max(2, workers));
-  }
+  // Session workers run HandleLine (parse + submit + acks); the engine's
+  // own pool does the deciding.
+  const int workers = std::min(
+      8, std::max(2, static_cast<int>(std::thread::hardware_concurrency())));
   // Each connection holds at most one queue token, so this capacity can
   // only fill when every live connection needs service at once — the
   // blocking Push is then genuine backpressure on the reactor.

@@ -86,10 +86,6 @@ struct SocketServerOptions {
   /// with `err throttled ...` and closed. 0: off. Unix-domain connections
   /// are exempt (no peer address to bucket).
   int tcp_accepts_per_ip_per_sec = 0;
-  /// Session worker pool size; 0 picks hardware_concurrency clamped to
-  /// [2, 8]. These workers run HandleLine (parse + submit + acks); the
-  /// engine's own pool does the deciding.
-  int worker_threads = 0;
 };
 
 class SocketServer {

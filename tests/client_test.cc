@@ -12,17 +12,21 @@
 #include <chrono>
 #include <condition_variable>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/engine/sat_engine.h"
+#include "src/sat/satisfiability.h"
 #include "src/server/socket_server.h"
+#include "src/xpath/parser.h"
 #include "tests/test_util.h"
 
 namespace xpathsat {
@@ -43,10 +47,11 @@ ref -> eps
 appendix -> note*
 )";
 
-std::string WriteTempDtd(const std::string& name) {
+std::string WriteTempDtd(const std::string& name,
+                         const char* text = kDtdText) {
   std::string path = testing::TempDir() + name;
   std::ofstream out(path);
-  out << kDtdText;
+  out << text;
   EXPECT_TRUE(out.good());
   return path;
 }
@@ -250,6 +255,144 @@ TEST(ClientTest, SubmitBatchFallsBackWithoutTheGrant) {
   EXPECT_EQ(barrier_fired.load(), 1);
   server.Stop();
 }
+
+// Wire-batch verdict parity: every member verdict that comes back through a
+// server-side `batch` equals the facade's, at each batch size and on both
+// framings. The schema is disjunction-free, so one DTD carries reach
+// (Thm 4.1), sibling (Thm 7.1), filter (Thm 6.8(1)) and skeleton (Thm 4.4)
+// queries; repeats of the mix are memo hits, so memoized verdicts ride the
+// batches too.
+constexpr char kDjFreeDtdText[] = R"(root catalog
+catalog -> section*
+section -> heading, item*, appendix
+heading -> eps
+item -> title, price, variant*, note*
+title -> eps
+price -> eps
+variant -> swatch, swatch*
+swatch -> eps
+note -> ref
+ref -> eps
+appendix -> note*
+)";
+
+// (batch size, binary frames)
+class WireBatchParityTest
+    : public testing::TestWithParam<std::tuple<size_t, bool>> {};
+
+const char* VerdictText(SatVerdict verdict) {
+  switch (verdict) {
+    case SatVerdict::kSat: return "sat";
+    case SatVerdict::kUnsat: return "unsat";
+    case SatVerdict::kUnknown: return "unknown";
+  }
+  return "?";
+}
+
+TEST_P(WireBatchParityTest, MemberVerdictsMatchTheFacade) {
+  const auto [batch_size, binary] = GetParam();
+  const std::vector<std::string> mix = {
+      // reach
+      "section/item", "**/note", "section/item/swatch", "nosuchlabel",
+      "section/**/swatch", "item|**/title",
+      // sibling
+      "section/heading/>",
+      // filter
+      "section/item[variant]", "**/item[title && note]", "section/item[ref]",
+      "section[heading && appendix/note]",
+      // skeleton
+      "section/item[note]/^", "**/swatch/^[title]", "**/ref/^^[price]"};
+  const Dtd dtd = ParseDtdOrDie(kDjFreeDtdText);
+  std::map<std::string, std::string> expected;
+  std::set<std::string> routes;
+  for (const std::string& q : mix) {
+    Result<std::unique_ptr<PathExpr>> p = ParsePath(q);
+    ASSERT_TRUE(p.ok()) << q << ": " << p.error();
+    SatReport report = DecideSatisfiability(*p.value(), dtd);
+    expected[q] = VerdictText(report.decision.verdict);
+    EXPECT_NE(expected[q], "unknown") << q;
+    routes.insert(report.algorithm);
+  }
+  for (const char* route : {"reach-dp (Thm 4.1)", "djfree-dp (Thm 6.8(1))",
+                            "skeleton (Thm 4.4)"}) {
+    EXPECT_EQ(routes.count(route), 1u) << "the mix never routes to " << route;
+  }
+
+  SatEngine engine;
+  std::string dtd_path = WriteTempDtd("client_parity.dtd", kDjFreeDtdText);
+  server::SocketServerOptions opt;
+  opt.unix_path = SocketPath("parity");
+  server::SocketServer server(&engine, opt);
+  ASSERT_TRUE(server.Start().ok());
+
+  ClientOptions copt;
+  copt.target = "unix:" + opt.unix_path;
+  copt.negotiate_batch = true;
+  copt.negotiate_binary = binary;
+  Result<std::unique_ptr<Client>> conn = Client::Connect(copt);
+  ASSERT_TRUE(conn.ok()) << conn.error();
+  Client& client = *conn.value();
+  ASSERT_TRUE(client.batch_granted());
+  ASSERT_EQ(client.binary_granted(), binary);
+  ASSERT_TRUE(client.Call("dtd cat " + dtd_path).ok());
+
+  // 256 members cycling through the mix, cut into batches of the size under
+  // test; each batch counts its own barrier.
+  const size_t kMembers = 256;
+  std::vector<std::string> sequence;
+  for (size_t i = 0; i < kMembers; ++i) sequence.push_back(mix[i % mix.size()]);
+  const size_t batches = kMembers / batch_size;
+  auto per_item = std::make_shared<Completions>();
+  auto barriers = std::make_shared<std::vector<std::atomic<int>>>(batches);
+  std::vector<Client::BatchHandle> handles;
+  for (size_t b = 0; b < batches; ++b) {
+    const auto first = sequence.begin() +
+                       static_cast<std::ptrdiff_t>(b * batch_size);
+    Result<Client::BatchHandle> handle = client.SubmitBatch(
+        "cat",
+        std::vector<std::string>(
+            first, first + static_cast<std::ptrdiff_t>(batch_size)),
+        [per_item](const Status& status, const QueryOutcome& outcome) {
+          per_item->Add(status, outcome);
+        },
+        [barriers, b](const Status& status) {
+          EXPECT_TRUE(status.ok()) << status.message();
+          (*barriers)[b].fetch_add(1);
+        });
+    ASSERT_TRUE(handle.ok()) << handle.error();
+    EXPECT_GT(handle.value().seq, 0u);  // a real server-side batch
+    ASSERT_EQ(handle.value().ids.size(), batch_size);
+    handles.push_back(std::move(handle).value());
+  }
+  per_item->WaitForCount(kMembers);
+  ASSERT_TRUE(client.Flush().ok());
+  server.Stop();
+
+  std::map<uint64_t, std::string> verdict_by_id;
+  for (size_t i = 0; i < per_item->outcomes.size(); ++i) {
+    ASSERT_TRUE(per_item->statuses[i].ok()) << per_item->statuses[i].message();
+    verdict_by_id[per_item->outcomes[i].ticket_id] =
+        per_item->outcomes[i].verdict;
+  }
+  ASSERT_EQ(verdict_by_id.size(), kMembers);  // one result per member
+  size_t index = 0;
+  for (size_t b = 0; b < batches; ++b) {
+    EXPECT_EQ((*barriers)[b].load(), 1) << "batch " << b;
+    for (uint64_t id : handles[b].ids) {
+      const std::string& q = sequence[index++];
+      EXPECT_EQ(verdict_by_id[id], expected[q]) << "wire vs facade on " << q;
+    }
+  }
+  EXPECT_EQ(engine.stats().requests, kMembers);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SizesAndFramings, WireBatchParityTest,
+    testing::Combine(testing::Values<size_t>(1, 16, 256), testing::Bool()),
+    [](const testing::TestParamInfo<std::tuple<size_t, bool>>& info) {
+      return "Batch" + std::to_string(std::get<0>(info.param)) +
+             (std::get<1>(info.param) ? "BinaryFrames" : "TextLines");
+    });
 
 TEST(ClientTest, MetricsPromBlockArrivesJoined) {
   SatEngine engine;

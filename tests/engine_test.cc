@@ -747,7 +747,7 @@ TEST(SatEngineTest, EightThreadsHammerTheShardedMemo) {
   EXPECT_GE(stats.memo_hits, 8u * 60u - queries.size() * 8u);
 }
 
-// --- Completion callbacks and WaitAny ------------------------------------
+// --- Completion callbacks ------------------------------------------------
 
 TEST(SatTicketCallbackTest, OnCompleteFiresWithTheResponse) {
   Dtd d = ParseDtdOrDie("root r\nr -> A*\nA -> eps\n");
@@ -818,34 +818,7 @@ TEST(SatTicketCallbackTest, CallbacksFireOnCancellationPathsToo) {
   EXPECT_EQ(f.get(), "cancelled");
 }
 
-TEST(SatTicketCallbackTest, WaitAnyReturnsACompletedIndex) {
-  Dtd d = MakeHeavyDtd();
-  SatEngineOptions opt;
-  opt.num_threads = 2;
-  SatEngine engine(opt);
-  DtdHandle handle = engine.RegisterDtd(d);
-  std::vector<SatTicket> tickets;
-  for (int i = 0; i < 8; ++i) {
-    SatRequest r;
-    r.query = (i % 2 == 0) ? "**/item[title && note]" : "section/item";
-    r.dtd = handle;
-    tickets.push_back(engine.Submit(std::move(r)));
-  }
-  int idx = SatTicket::WaitAny(tickets);
-  ASSERT_GE(idx, 0);
-  ASSERT_LT(idx, 8);
-  EXPECT_TRUE(tickets[static_cast<size_t>(idx)].Ready());
-  // Repeated calls keep returning ready work; drain everything this way.
-  for (const SatTicket& t : tickets) {
-    EXPECT_TRUE(SatTicket::WaitAny({t}) == 0);
-    EXPECT_TRUE(t.Get().status.ok());
-  }
-}
-
-TEST(SatTicketCallbackTest, WaitAnyTimesOutAndSkipsInvalid) {
-  EXPECT_EQ(SatTicket::WaitAny({}), -1);
-  EXPECT_EQ(SatTicket::WaitAny({SatTicket(), SatTicket()}), -1);
-
+TEST(SatTicketCallbackTest, PendingCallbacksFireInRegistrationOrder) {
   Dtd d = MakeHeavyDtd();
   SatEngineOptions opt;
   opt.num_threads = 1;
@@ -853,9 +826,9 @@ TEST(SatTicketCallbackTest, WaitAnyTimesOutAndSkipsInvalid) {
   SatEngine engine(opt);
   DtdHandle handle = engine.RegisterDtd(d);
   // Park the lone worker in a completion callback until `gate` opens, so the
-  // probe stays queued however fast or loaded the machine is. A callback
-  // that runs inline (its ticket finished before registration) runs on this
-  // thread and must not wait; the loop then parks the worker on another.
+  // probe stays queued while its callbacks register. A callback that runs
+  // inline (its ticket finished before registration) runs on this thread
+  // and must not wait; the loop then parks the worker on another.
   std::promise<void> gate;
   const std::shared_future<void> open = gate.get_future().share();
   const std::thread::id test_thread = std::this_thread::get_id();
@@ -874,17 +847,47 @@ TEST(SatTicketCallbackTest, WaitAnyTimesOutAndSkipsInvalid) {
           open.wait();
         });
   }
-  std::vector<SatTicket> tickets;
   SatRequest probe;
   probe.query = "section/item";
   probe.dtd = handle;
-  tickets.push_back(engine.Submit(std::move(probe)));
-  EXPECT_EQ(SatTicket::WaitAny(tickets, 1), -1);
+  SatTicket ticket = engine.Submit(std::move(probe));
+  // EXPECT, not ASSERT: returning before the gate opens would hang the
+  // engine's destructor on the parked worker.
+  EXPECT_FALSE(ticket.Ready());
+
+  // All callbacks run on the one fulfilling thread, so the log needs no
+  // lock; `done` publishes it to this thread.
+  std::vector<std::string> log;
+  std::vector<std::thread::id> threads;
+  std::promise<void> done;
+  auto record = [&log, &threads](const char* what) {
+    log.push_back(what);
+    threads.push_back(std::this_thread::get_id());
+  };
+  ticket.OnComplete([&record](const SatResponse&) { record("first"); });
+  ticket.OnComplete([&record, ticket](const SatResponse&) {
+    record("second");
+    // Re-entrant registration on the ticket being fulfilled: it is
+    // already complete, so the inner callback runs inline, right here.
+    ticket.OnComplete([&record](const SatResponse&) { record("inner"); });
+    record("second-end");
+  });
+  ticket.OnComplete([&record, &done](const SatResponse&) {
+    record("third");
+    done.set_value();
+  });
   gate.set_value();
-  // An invalid entry alongside a real one is skipped, not dereferenced.
-  tickets.insert(tickets.begin(), SatTicket());
-  EXPECT_EQ(SatTicket::WaitAny(tickets, -1), 1);
-  EXPECT_TRUE(tickets[1].Get().status.ok());
+  std::future<void> finished = done.get_future();
+  ASSERT_EQ(finished.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(log, (std::vector<std::string>{"first", "second", "inner",
+                                           "second-end", "third"}));
+  ASSERT_EQ(threads.size(), log.size());
+  for (const std::thread::id& id : threads) {
+    EXPECT_EQ(id, threads[0]);
+    EXPECT_NE(id, test_thread);
+  }
+  EXPECT_TRUE(ticket.Get().status.ok());
 }
 
 // --- Request traces and the observability surfaces --------------------------

@@ -55,6 +55,16 @@ Rules (ids are stable; failures print one machine-readable line each):
                   member `_` is ignored). Anything else is an event counter
                   and belongs in an obs::MetricsRegistry, where `stats` and
                   `metrics` read the same cell.
+  dead-option     every field of SatEngineOptions, SocketServerOptions,
+                  SessionOptions and ClientOptions is assigned
+                  (`VAR.NAME =`, or `VAR.session.NAME =` through a
+                  SocketServerOptions) in some file other than the struct's
+                  own header and .cc — under src/, tools/, tests/,
+                  perfbench/ or examples/. VAR must be declared with the
+                  struct's type in that file (the nearest declaration
+                  before the assignment wins). A field no caller, test or
+                  benchmark sets is a knob nobody turns: make it a
+                  constant. Vacuous for a struct whose header is absent.
 
 Failure output (one line per finding, exit 1):
   INVARIANT-FAIL rule=<id> file=<path> msg=<message>
@@ -69,7 +79,8 @@ import re
 import sys
 
 ALL_RULES = ("verb-doc", "mutex-guard", "banned-pattern", "err-slug-doc",
-             "store-version", "client-sync", "dup-helper", "counter-store")
+             "store-version", "client-sync", "dup-helper", "counter-store",
+             "dead-option")
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -456,6 +467,100 @@ def rule_counter_store(root):
     return findings
 
 
+# (struct, path stem of its own header and .cc)
+OPTION_STRUCTS = (
+    ("SatEngineOptions", "src/engine/sat_engine"),
+    ("SocketServerOptions", "src/server/socket_server"),
+    ("SessionOptions", "src/server/session"),
+    ("ClientOptions", "src/client/client"),
+)
+OPTION_SETTER_DIRS = ("src", "tools", "tests", "perfbench", "examples")
+
+
+def struct_fields(text, struct):
+    """Data-member names of `struct NAME { ... };` in comment-stripped
+    `text`, in declaration order (None when the struct is absent)."""
+    m = re.search(r"\bstruct\s+%s\s*\{" % struct, text)
+    if not m:
+        return None
+    body = extract_body(text, m.end() - 1) or ""
+    fields = []
+    for stmt in body.split(";"):
+        # Cut the default initializer at the first top-level '=' or '{'.
+        depth, decl = 0, stmt
+        for i, c in enumerate(stmt):
+            if c in "<(":
+                depth += 1
+            elif c in ">)":
+                depth -= 1
+            elif depth == 0 and c in "={":
+                decl = stmt[:i]
+                break
+        decl = decl.strip()
+        if not decl or decl.endswith(")") or re.match(
+                r"(static|using|typedef|friend|enum|struct|class)\b", decl):
+            continue
+        name = re.search(r"(\w+)$", decl)
+        if name:
+            fields.append(name.group(1))
+    return fields
+
+
+def rule_dead_option(root):
+    """An options field that nothing outside its own module ever assigns is
+    a knob nobody turns — it widens the API and the docs for a value that
+    is always the default."""
+    structs = {}  # struct -> (header rel path, own files, fields)
+    for struct, stem in OPTION_STRUCTS:
+        header = os.path.join(root, stem + ".h")
+        if not os.path.isfile(header):
+            continue
+        fields = struct_fields(strip_comments(read(header)), struct)
+        if fields:
+            structs[struct] = (stem + ".h", {stem + ".h", stem + ".cc"},
+                               fields)
+    if not structs:
+        return []
+    type_alt = "|".join(structs)
+    decl_re = re.compile(r"(?<![\w:])(?:\w+::)*(%s)\s*(?:const\s*)?[&*]?"
+                         r"\s*(\w+)\s*[;={(,)\[]" % type_alt)
+    assign_re = re.compile(r"(?<![\w.>])(\w+)(\.session)?\.(\w+)\s*=(?!=)")
+    set_fields = set()  # (struct, field)
+    for path in source_files(root, OPTION_SETTER_DIRS):
+        r = rel(root, path).replace(os.sep, "/")
+        if r.startswith("tests/lint_fixtures/"):
+            continue
+        text = strip_comments(read(path))
+        decls = [(m.start(), m.group(2), m.group(1))
+                 for m in decl_re.finditer(text)]
+        for m in assign_re.finditer(text):
+            var, via_session, field = m.groups()
+            owner = None
+            for offset, name, struct in decls:
+                if offset < m.start() and name == var:
+                    owner = struct
+            if owner is None:
+                continue
+            if via_session:
+                if owner != "SocketServerOptions":
+                    continue
+                if r not in structs[owner][1]:
+                    set_fields.add((owner, "session"))
+                owner = "SessionOptions"
+            if owner in structs and r not in structs[owner][1]:
+                set_fields.add((owner, field))
+    findings = []
+    for struct, (header, own, fields) in structs.items():
+        for field in fields:
+            if (struct, field) not in set_fields:
+                findings.append(
+                    (header, "%s::%s is never assigned outside %s — a field "
+                     "no caller, test or benchmark sets is dead surface; "
+                     "make it a constant (or set it where it matters)"
+                     % (struct, field, " and ".join(sorted(own)))))
+    return findings
+
+
 RULES = {
     "verb-doc": rule_verb_doc,
     "mutex-guard": rule_mutex_guard,
@@ -465,6 +570,7 @@ RULES = {
     "client-sync": rule_client_sync,
     "dup-helper": rule_dup_helper,
     "counter-store": rule_counter_store,
+    "dead-option": rule_dead_option,
 }
 
 
