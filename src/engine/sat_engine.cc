@@ -74,6 +74,19 @@ struct DtdPin {
   }
 };
 
+// Owner of one artifact the engine compiled or decoded: every shared_ptr the
+// engine hands out aliases it, so the artifact dies, and leaves the
+// live_compiled_artifacts gauge, with its last user. The gauge is held
+// through the shared registry, so that release stays safe even after the
+// issuing engine is destroyed.
+struct TrackedArtifact {
+  std::shared_ptr<const CompiledDtd> compiled;
+  std::shared_ptr<obs::Gauge> live;
+  ~TrackedArtifact() {
+    if (live) live->Add(-1);
+  }
+};
+
 }  // namespace engine_internal
 
 namespace {
@@ -95,6 +108,19 @@ std::string MemoKey(const std::string& canonical, uint64_t fingerprint,
   AppendRawU64(&key, fingerprint);
   AppendRawU64(&key, options_digest);
   return key;
+}
+
+uint64_t ReadRawU64(const std::string& s, size_t pos) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<uint8_t>(s[pos + i])) << (8 * i);
+  }
+  return v;
+}
+
+// The fingerprint bytes of a MemoKey.
+uint64_t MemoKeyFingerprint(const std::string& key) {
+  return ReadRawU64(key, key.size() - 16);
 }
 
 SatResponse NotRunResponse(const char* algorithm, const char* why) {
@@ -190,6 +216,8 @@ SatEngine::SatEngine(const SatEngineOptions& options)
                                resolved_shards_)
                          : nullptr),
       live_handles_(std::make_shared<std::atomic<uint64_t>>(0)),
+      metrics_(std::make_shared<obs::MetricsRegistry>()),
+      live_artifacts_(metrics_, metrics_->gauge("live_compiled_artifacts")),
       slow_log_(kSlowLogCapacity),
       start_time_(Clock::now()),
       reaper_([this] { ReaperLoop(); }),
@@ -197,17 +225,17 @@ SatEngine::SatEngine(const SatEngineOptions& options)
   // Resolve the per-phase histograms once; the request path then mutates
   // them lock-free through these pointers. (reaper_ only touches the route
   // counters, which are constructed before it starts.)
-  hist_wire_decode_ns_ = metrics_.histogram("request_wire_decode_ns");
-  hist_queue_ns_ = metrics_.histogram("request_queue_ns");
-  hist_parse_ns_ = metrics_.histogram("request_parse_ns");
-  hist_rewrite_ns_ = metrics_.histogram("request_rewrite_ns");
-  hist_decide_ns_ = metrics_.histogram("request_decide_ns");
-  hist_total_ns_ = metrics_.histogram("request_total_ns");
-  hist_dtd_compile_ns_ = metrics_.histogram("dtd_compile_ns");
-  hist_store_load_ns_ = metrics_.histogram("artifact_store_load_ns");
-  slow_requests_ = metrics_.counter("slow_requests");
+  hist_wire_decode_ns_ = metrics_->histogram("request_wire_decode_ns");
+  hist_queue_ns_ = metrics_->histogram("request_queue_ns");
+  hist_parse_ns_ = metrics_->histogram("request_parse_ns");
+  hist_rewrite_ns_ = metrics_->histogram("request_rewrite_ns");
+  hist_decide_ns_ = metrics_->histogram("request_decide_ns");
+  hist_total_ns_ = metrics_->histogram("request_total_ns");
+  hist_dtd_compile_ns_ = metrics_->histogram("dtd_compile_ns");
+  hist_store_load_ns_ = metrics_->histogram("artifact_store_load_ns");
+  slow_requests_ = metrics_->counter("slow_requests");
   for (size_t i = 0; i < kNumSatEngineCounters; ++i) {
-    counters_[i] = metrics_.counter(kSatEngineCounters[i].name);
+    counters_[i] = metrics_->counter(kSatEngineCounters[i].name);
   }
 }
 
@@ -240,9 +268,17 @@ std::shared_ptr<const CompiledDtd> SatEngine::LookupDtd(const Dtd& dtd,
   // Compile outside any lock: a slow compilation must not serialize the
   // pool. Two racing threads may compile the same DTD; the first insert
   // wins and both use the winner.
-  std::shared_ptr<const CompiledDtd> compiled = CompiledDtd::Compile(dtd);
+  std::shared_ptr<const CompiledDtd> compiled =
+      Track(CompiledDtd::Compile(dtd));
+  std::vector<std::shared_ptr<const CompiledDtd>> evicted;
   std::shared_ptr<const CompiledDtd> resident =
-      dtd_cache_.InsertIfAbsent(fp, compiled);
+      dtd_cache_.InsertIfAbsent(fp, compiled, &evicted);
+  if (!evicted.empty()) {
+    // An evicted artifact no handle holds dies here, and freeing its label
+    // graphs and NFAs costs about what a decide does: a worker pays for it,
+    // so the registration that evicted it does not wait.
+    pool_.Submit([dead = std::move(evicted)]() mutable { dead.clear(); });
+  }
   if (resident != compiled) {
     if (resident->dtd.EquivalentTo(dtd)) {
       if (hit) *hit = true;  // raced: someone else filled it first
@@ -253,6 +289,16 @@ std::shared_ptr<const CompiledDtd> SatEngine::LookupDtd(const Dtd& dtd,
   }
   if (hit) *hit = false;
   return compiled;
+}
+
+std::shared_ptr<const CompiledDtd> SatEngine::Track(
+    std::shared_ptr<const CompiledDtd> compiled) const {
+  auto owner = std::make_shared<engine_internal::TrackedArtifact>();
+  owner->compiled = std::move(compiled);
+  owner->live = live_artifacts_;
+  live_artifacts_->Add(1);
+  const CompiledDtd* artifact = owner->compiled.get();
+  return std::shared_ptr<const CompiledDtd>(std::move(owner), artifact);
 }
 
 std::shared_ptr<const CompiledDtd> SatEngine::CompileAndCache(const Dtd& dtd) {
@@ -416,15 +462,14 @@ SatResponse SatEngine::Execute(const SatRequest& request,
     memo_.LookupWith(memo_key, [&](MemoEntry& entry) {
       // Same fingerprint does not imply the same schema (64-bit FNV):
       // serve the memo only for the DTD it was computed against. Pointer
-      // equality is the fast path (handles share one CompiledDtd).
-      if (entry.compiled != compiled &&
-          !entry.compiled->dtd.EquivalentTo(compiled->dtd)) {
-        return false;
+      // equality is the fast path (handles share one CompiledDtd, and so
+      // one shared_dtd); the structural check only runs after an
+      // eviction+recompile, and then refreshes the pin so subsequent hits
+      // take the fast path again — RewriteCache::GetOrRewrite's rule.
+      if (entry.dtd != compiled->shared_dtd) {
+        if (!entry.dtd->EquivalentTo(compiled->dtd)) return false;
+        entry.dtd = compiled->shared_dtd;
       }
-      // Refresh the pin after an eviction+recompile so subsequent hits
-      // for this handle take the pointer fast path, not the structural
-      // check under the shard lock.
-      entry.compiled = compiled;
       memoized = entry.report;
       return true;
     });
@@ -458,7 +503,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
     // On a race (or a key owned by a fingerprint-colliding schema) the
     // incumbent entry keeps the slot; this response was already computed.
     MemoEntry entry;
-    entry.compiled = compiled;
+    entry.dtd = compiled->shared_dtd;
     entry.report = std::make_shared<const SatReport>(resp.report);
     memo_.InsertIfAbsent(memo_key, std::move(entry));
   }
@@ -586,10 +631,10 @@ SnapshotSaveResult SatEngine::SaveSnapshot(const std::string& path) const {
   // Phase 1: collect, under the shard locks, shared_ptr copies only.
   // ForEach visits one shard at a time, so a save racing live traffic holds
   // no lock for longer than one shard walk and serializes nothing global.
-  std::map<uint64_t, std::shared_ptr<const CompiledDtd>> schemas;
+  std::map<uint64_t, std::shared_ptr<const CompiledDtd>> resident;
   dtd_cache_.ForEach(
       [&](const uint64_t& fp, const std::shared_ptr<const CompiledDtd>& v) {
-        schemas.emplace(fp, v);
+        resident.emplace(fp, v);
       });
   std::vector<std::pair<std::string, MemoEntry>> memos;
   if (options_.memo_capacity > 0) {
@@ -599,29 +644,35 @@ SnapshotSaveResult SatEngine::SaveSnapshot(const std::string& path) const {
     });
   }
 
-  // Phase 2: serialize and write, outside every lock. Memo entries whose
-  // artifacts were evicted from the DTD cache add them back to the schema
-  // set (a loaded memo must be verifiable against a schema from the same
-  // file); a memo whose fingerprint slot is owned by a different,
-  // non-equivalent schema (a collision where the other schema holds the
-  // cache slot) is dropped — one schema per fingerprint per file.
+  // Phase 2: serialize and write, outside every lock. One schema per
+  // fingerprint per file, so a loaded memo is verifiable against a schema
+  // from the same file: the resident artifacts' sources first, then the
+  // Dtds pinned by memo entries whose artifacts left the DTD cache. A memo
+  // whose fingerprint slot is owned by a different, non-equivalent schema (a
+  // collision) is dropped.
   store::SnapshotWriter writer;
   result.status = writer.Open(path);
   if (!result.status.ok()) return result;
 
+  std::map<uint64_t, std::shared_ptr<const Dtd>> sources;
+  for (const auto& kv : resident) {
+    sources.emplace(kv.first, kv.second->shared_dtd);
+  }
   for (auto& kv : memos) {
-    const uint64_t fp = kv.second.compiled->fingerprint;
-    auto it = schemas.find(fp);
-    if (it == schemas.end()) {
-      schemas.emplace(fp, kv.second.compiled);
-    } else if (it->second != kv.second.compiled &&
-               !it->second->dtd.EquivalentTo(kv.second.compiled->dtd)) {
+    const std::shared_ptr<const Dtd>& dtd = kv.second.dtd;
+    auto it = sources.emplace(MemoKeyFingerprint(kv.first), dtd).first;
+    if (it->second != dtd && !it->second->EquivalentTo(*dtd)) {
       kv.second.report = nullptr;  // marks the entry dropped
     }
   }
-  for (const auto& kv : schemas) {
+  for (const auto& [fp, dtd] : sources) {
+    auto it = resident.find(fp);
+    // A memo-only schema is compiled here and released once its record is
+    // written, so a save holds at most one artifact beyond the cache's.
+    std::shared_ptr<const CompiledDtd> compiled =
+        it != resident.end() ? it->second : Track(CompiledDtd::Compile(*dtd));
     result.status = writer.Append(store::RecordTag::kCompiledDtd,
-                                  store::EncodeCompiledDtdRecord(*kv.second));
+                                  store::EncodeCompiledDtdRecord(*compiled));
     if (!result.status.ok()) return result;
     ++result.dtds_saved;
   }
@@ -630,17 +681,10 @@ SnapshotSaveResult SatEngine::SaveSnapshot(const std::string& path) const {
     // Memo keys are canonical + '\0' + raw fingerprint + raw digest
     // (MemoKey); recover the pieces rather than re-deriving them.
     const std::string& key = kv.first;
-    if (key.size() < 17 || key[key.size() - 17] != '\0') continue;
     store::MemoRecord record;
     record.canonical_query = key.substr(0, key.size() - 17);
-    record.dtd_fingerprint = kv.second.compiled->fingerprint;
-    uint64_t digest = 0;
-    for (int i = 0; i < 8; ++i) {
-      digest |= static_cast<uint64_t>(
-                    static_cast<uint8_t>(key[key.size() - 8 + i]))
-                << (8 * i);
-    }
-    record.options_digest = digest;
+    record.dtd_fingerprint = MemoKeyFingerprint(key);
+    record.options_digest = ReadRawU64(key, key.size() - 8);
     const SatReport& report = *kv.second.report;
     record.algorithm = report.algorithm;
     record.verdict = report.decision.verdict;
@@ -709,7 +753,8 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
         ++result.rejected_records;
         continue;
       }
-      std::shared_ptr<const CompiledDtd> compiled = std::move(decoded).value();
+      std::shared_ptr<const CompiledDtd> compiled =
+          Track(std::move(decoded).value());
       const uint64_t fp = compiled->fingerprint;
       // Admission runs the exact in-memory hit path: verify an equivalent
       // incumbent (and share its artifacts), otherwise keep-incumbent
@@ -748,7 +793,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
         continue;
       }
       MemoEntry entry;
-      entry.compiled = it->second;
+      entry.dtd = it->second->shared_dtd;
       auto report = std::make_shared<SatReport>();
       report->algorithm = std::move(record.algorithm);
       report->decision.verdict = record.verdict;
@@ -796,6 +841,10 @@ uint64_t SatEngine::live_dtd_handles() const {
   return live_handles_->load(std::memory_order_relaxed);
 }
 
+uint64_t SatEngine::live_compiled_artifacts() const {
+  return static_cast<uint64_t>(live_artifacts_->value());
+}
+
 SatEngineStats SatEngine::stats() const {
   // Load order is part of the contract (see SatEngineStats): the table is
   // walked backwards, so the per-request *outcome* counters load first and
@@ -815,6 +864,8 @@ SatEngineStats SatEngine::stats() const {
   }
   s.uptime_ms = uptime_ms();
   s.snapshot_seq = NextSnapshotSeq();
+  s.live_dtd_handles = live_dtd_handles();
+  s.live_compiled_artifacts = live_compiled_artifacts();
   return s;
 }
 

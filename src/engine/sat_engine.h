@@ -26,7 +26,8 @@
 //   * Verdict memoization: a sharded LRU cache keyed by (canonical query
 //     printing, DTD fingerprint, SatOptions::Digest()) sitting above the
 //     artifact caches; a repeat request returns the memoized SatReport
-//     without touching the deciders at all.
+//     without touching the deciders at all. Entries pin the schema source
+//     only, so the memo never keeps a compiled artifact alive.
 //   * A query cache keyed by the canonical ToString() printing of the parsed
 //     AST (with a raw-text alias so byte-identical requests skip the parser
 //     entirely) holding the AST plus its fragment profile.
@@ -89,10 +90,14 @@ struct SatEngineOptions {
   /// Worker threads; values < 1 use hardware_concurrency.
   int num_threads = 0;
   /// Compiled DTDs kept (LRU by fingerprint). Must be >= 1. Live DtdHandles
-  /// pin their artifacts regardless of eviction.
+  /// pin their artifacts regardless of eviction; nothing else does, so live
+  /// compiled artifacts (the live_compiled_artifacts gauge) stay within this
+  /// capacity plus the schemas that handles and in-flight requests hold,
+  /// plus evicted artifacts a worker has yet to free.
   size_t dtd_cache_capacity = 64;
   /// Memoized verdicts kept (LRU by (canonical query, DTD fingerprint,
-  /// options digest)). 0 disables verdict memoization entirely.
+  /// options digest)). 0 disables verdict memoization entirely. An entry
+  /// pins its schema's source Dtd (a few KB), never the compiled artifacts.
   size_t memo_capacity = 8192;
   /// Memoized Prop 3.3 rewrites kept (LRU by (canonical query, DTD
   /// fingerprint)); serves the miss path of the Thm 6.8(1)/6.8(2)/4.4
@@ -229,8 +234,9 @@ class SatTicket {
 /// Outcome of SatEngine::SaveSnapshot.
 struct SnapshotSaveResult {
   Status status;
-  /// CompiledDtd records written (resident artifacts plus artifacts pinned
-  /// only by memo entries).
+  /// CompiledDtd records written: resident artifacts, plus the schemas of
+  /// memo entries whose artifacts had left the DTD cache (compiled at save
+  /// time from the Dtd the entry pins).
   uint64_t dtds_saved = 0;
   /// Memo records written.
   uint64_t memos_saved = 0;
@@ -267,10 +273,11 @@ struct SnapshotLoadResult {
 
 /// Monotonic counters over the engine's lifetime.
 ///
-/// One counter store: every field but the rewrite pair and the two stamps is
-/// a kSatEngineCounters row, an obs::Counter in the engine's MetricsRegistry
-/// named after the field, so `stats`, `health` and `metrics` read the same
-/// cells and agree by construction.
+/// One counter store: every field but the rewrite pair, the two stamps and
+/// the two gauges is a kSatEngineCounters row, an obs::Counter in the
+/// engine's MetricsRegistry named after the field, so `stats`, `health` and
+/// `metrics` read the same cells and agree by construction (as they do for
+/// the live_compiled_artifacts gauge).
 ///
 /// Snapshot consistency: stats() is not one atomic snapshot (counters are
 /// independent atomics updated lock-free on the hot path), but it is more
@@ -327,6 +334,11 @@ struct SatEngineStats {
   /// Milliseconds since the engine was constructed; lets probes detect
   /// restarts. Not part of the <= invariants above.
   uint64_t uptime_ms = 0;
+  /// Gauges, not counters: registrations pinned by live handles, and
+  /// CompiledDtds this engine compiled or loaded that are still alive
+  /// (SatEngine::live_dtd_handles / live_compiled_artifacts).
+  uint64_t live_dtd_handles = 0;
+  uint64_t live_compiled_artifacts = 0;
   /// Monotonically increasing snapshot number, bumped by every stats() /
   /// metrics emission over this engine; lets scrapers detect stale reads.
   uint64_t snapshot_seq = 0;
@@ -418,9 +430,11 @@ class SatEngine {
   /// Entries are collected by walking the sharded caches one shard at a
   /// time under that shard's lock (shared_ptr copies only — serialization
   /// happens outside every lock), so a save concurrent with live traffic is
-  /// safe and captures a consistent-per-shard view. Artifacts referenced by
-  /// memo entries but already evicted from the DTD cache are persisted too,
-  /// so every saved memo record can be re-verified on load.
+  /// safe and captures a consistent-per-shard view. A memo entry pins only
+  /// its schema's source Dtd, so a schema whose artifacts have left the DTD
+  /// cache is compiled again here — once per distinct fingerprint, outside
+  /// every lock — and persisted too, so every saved memo record can be
+  /// re-verified on load.
   SnapshotSaveResult SaveSnapshot(const std::string& path) const;
 
   /// Warms the caches from a snapshot at `path`. Per-record trust chain:
@@ -440,10 +454,11 @@ class SatEngine {
   /// The engine's metrics registry: per-phase latency histograms
   /// (request_queue_ns, request_parse_ns, request_rewrite_ns,
   /// request_decide_ns, request_total_ns, dtd_compile_ns), the
-  /// slow_requests counter, and one counter per kSatEngineCounters row (the
-  /// cells stats() reads). Mutated lock-free by the request path; render
-  /// with obs::RenderMetricsJson / RenderMetricsProm.
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
+  /// slow_requests counter, one counter per kSatEngineCounters row and the
+  /// live_compiled_artifacts gauge (the cells stats() reads). Mutated
+  /// lock-free by the request path; render with obs::RenderMetricsJson /
+  /// RenderMetricsProm.
+  const obs::MetricsRegistry& metrics() const { return *metrics_; }
   /// Per-dispatch-route fulfilment counters: one increment per completed
   /// request, keyed by SatReport::algorithm (the Sec. 8 dispatch cell) or a
   /// synthetic route ("memo-hit", "cancelled", "deadline", "parse-error",
@@ -462,6 +477,11 @@ class SatEngine {
   /// Registrations currently pinned by live handles (a gauge, not a
   /// counter).
   uint64_t live_dtd_handles() const;
+  /// CompiledDtds this engine compiled (registration, snapshot save) or
+  /// loaded that are still alive, wherever they are held: the DTD cache,
+  /// handles, in-flight requests, evictions queued for a worker to free (a
+  /// gauge, not a counter).
+  uint64_t live_compiled_artifacts() const;
   int num_threads() const { return pool_.num_threads(); }
   /// The resolved engine-wide shard target (cache_shards rounded up to a
   /// power of two, clamped to [1, 64]). Individual caches may run with
@@ -476,10 +496,12 @@ class SatEngine {
     std::string canonical;
   };
   struct MemoEntry {
-    // The artifacts the memoized report was computed against: fingerprints
-    // can collide (64-bit FNV), so a hit must verify it is answering for the
-    // same schema before serving the report.
-    std::shared_ptr<const CompiledDtd> compiled;
+    // The source schema (CompiledDtd::shared_dtd) the memoized report was
+    // computed against: fingerprints can collide (64-bit FNV), so a hit
+    // must verify it is answering for the same schema before serving the
+    // report. Only the Dtd is pinned; the compiled artifacts die with their
+    // last handle or DTD-cache slot.
+    std::shared_ptr<const Dtd> dtd;
     std::shared_ptr<const SatReport> report;
   };
 
@@ -499,6 +521,11 @@ class SatEngine {
                       uint64_t ticket_id);
   std::shared_ptr<const CompiledDtd> LookupDtd(const Dtd& dtd, uint64_t fp,
                                                bool* hit);
+  /// Counts `compiled` in the live_compiled_artifacts gauge until its last
+  /// owner lets go; every artifact the engine compiles or decodes goes
+  /// through here.
+  std::shared_ptr<const CompiledDtd> Track(
+      std::shared_ptr<const CompiledDtd> compiled) const;
   std::shared_ptr<const CachedQuery> LookupQuery(const std::string& text,
                                                  bool* hit,
                                                  std::string* parse_error,
@@ -558,7 +585,11 @@ class SatEngine {
   // Observability: the counters and histograms are resolved once in the
   // constructor (registry lookups are mutex-guarded) and mutated lock-free
   // by the request path. counters_[i] is the kSatEngineCounters[i] cell.
-  obs::MetricsRegistry metrics_;
+  // The registry is shared: live_artifacts_ aliases its
+  // live_compiled_artifacts gauge, and every tracked artifact holds a copy,
+  // so an artifact released after the engine is gone still finds its cell.
+  std::shared_ptr<obs::MetricsRegistry> metrics_;
+  std::shared_ptr<obs::Gauge> live_artifacts_;
   obs::Counter* counters_[kNumSatEngineCounters] = {};
   obs::RouteCounters route_counters_;
   obs::SlowQueryLog slow_log_;

@@ -232,8 +232,8 @@ Result<std::shared_ptr<const PathExpr>> RewriteOntoNormalForm(
 }
 
 CompiledDtd::CompiledDtd(Dtd source)
-    : dtd(source),
-      shared_dtd(std::make_shared<const Dtd>(std::move(source))),
+    : shared_dtd(std::make_shared<const Dtd>(std::move(source))),
+      dtd(*shared_dtd),
       fingerprint(dtd.Fingerprint()) {}
 
 std::shared_ptr<const CompiledDtd> CompiledDtd::Compile(const Dtd& dtd) {

@@ -44,15 +44,17 @@ struct LabelGraph {
 /// closure computation), then share across queries and threads via
 /// shared_ptr<const CompiledDtd>.
 struct CompiledDtd {
-  /// Sets `dtd`, `shared_dtd` and `fingerprint`; the artifacts below are
+  /// Sets `shared_dtd`, `dtd` and `fingerprint`; the artifacts below are
   /// left for Compile (or the snapshot decoder) to fill in.
   explicit CompiledDtd(Dtd source);
 
-  Dtd dtd;               ///< the source DTD (owning copy)
-  /// The same schema behind a shared_ptr, for caches that pin schema
-  /// identity per entry (RewriteCache collision verification) — a refcount
-  /// bump per entry instead of a Dtd copy per entry. Never null.
-  std::shared_ptr<const Dtd> shared_dtd;
+  /// The source DTD, the one owned copy (a copied CompiledDtd shares it).
+  /// Caches that pin schema identity per entry (the engine's verdict memo,
+  /// RewriteCache) hold this pointer — a refcount bump per entry, and the
+  /// compiled artifacts below stay free to die with their last user. Never
+  /// null.
+  const std::shared_ptr<const Dtd> shared_dtd;
+  const Dtd& dtd;        ///< *shared_dtd
   uint64_t fingerprint;  ///< Dtd::Fingerprint() of `dtd` (the cache key)
   bool disjunction_free = false;
 

@@ -315,8 +315,7 @@ std::string FormatResultLine(uint64_t ticket_id, const std::string& query,
          (response.memo_hit ? " memo" : "");
 }
 
-std::string FormatStatsJson(const SatEngineStats& stats,
-                            uint64_t live_dtd_handles) {
+std::string FormatStatsJson(const SatEngineStats& stats) {
   std::ostringstream out;
   const char* sep = "{";
   for (const SatEngineCounter& counter : kSatEngineCounters) {
@@ -327,13 +326,14 @@ std::string FormatStatsJson(const SatEngineStats& stats,
       << ", \"rewrite_cache_misses\": " << stats.rewrite_cache_misses
       << ", \"uptime_ms\": " << stats.uptime_ms
       << ", \"snapshot_seq\": " << stats.snapshot_seq
-      << ", \"live_dtd_handles\": " << live_dtd_handles << "}";
+      << ", \"live_dtd_handles\": " << stats.live_dtd_handles
+      << ", \"live_compiled_artifacts\": " << stats.live_compiled_artifacts
+      << "}";
   return out.str();
 }
 
-std::string FormatStatsLine(const SatEngineStats& stats,
-                            uint64_t live_dtd_handles) {
-  return "stats " + FormatStatsJson(stats, live_dtd_handles);
+std::string FormatStatsLine(const SatEngineStats& stats) {
+  return "stats " + FormatStatsJson(stats);
 }
 
 }  // namespace protocol

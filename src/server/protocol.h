@@ -203,15 +203,15 @@ std::string FormatResultLine(uint64_t ticket_id, const std::string& query,
 
 /// The bare stats JSON object (no tag): one key per kSatEngineCounters row
 /// (src/engine/sat_engine.h; `requests` first), then the rewrite-cache pair,
-/// uptime_ms, snapshot_seq and live_dtd_handles. Shared by the `stats` and
-/// `health` reply lines and the CLI's --json output; the counter keys are
-/// the registry names the `metrics` verb reports.
-std::string FormatStatsJson(const SatEngineStats& stats,
-                            uint64_t live_dtd_handles);
+/// uptime_ms, snapshot_seq and the live_dtd_handles and
+/// live_compiled_artifacts gauges. Shared by the `stats` and `health` reply
+/// lines and the CLI's --json output; the counter keys and
+/// live_compiled_artifacts are the registry names the `metrics` verb
+/// reports.
+std::string FormatStatsJson(const SatEngineStats& stats);
 
 /// `stats {json}`: one line, so scripted clients parse instead of scraping.
-std::string FormatStatsLine(const SatEngineStats& stats,
-                            uint64_t live_dtd_handles);
+std::string FormatStatsLine(const SatEngineStats& stats);
 
 }  // namespace protocol
 }  // namespace xpathsat

@@ -55,8 +55,7 @@ ServerSession::ServerSession(SatEngine* engine, SessionOptions options,
   // Unset, `stats` and `health` serve the engine alone (the --serve shape).
   if (!options_.stats_json) {
     options_.stats_json = [engine] {
-      return protocol::FormatStatsJson(engine->stats(),
-                                       engine->live_dtd_handles());
+      return protocol::FormatStatsJson(engine->stats());
     };
   }
 }

@@ -71,9 +71,7 @@ std::string SocketServer::HealthJson() const {
       << ", \"connections_throttled\": " << connections_throttled()
       << ", \"idle_evictions\": " << idle_evictions()
       << ", \"engine\": "
-      << protocol::FormatStatsJson(engine_->stats(),
-                                   engine_->live_dtd_handles())
-      << "}";
+      << protocol::FormatStatsJson(engine_->stats()) << "}";
   return out.str();
 }
 

@@ -53,6 +53,7 @@
 #include <thread>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "src/util/hashing.h"
 #include "src/util/mutex.h"
@@ -142,12 +143,15 @@ class ShardedLruCache {
 
   /// Inserts key -> value unless the key is already resident, and returns
   /// the resident value either way (touched to the LRU front). On insert the
-  /// shard evicts its own LRU tail past capacity. Does not count hit/miss —
-  /// callers pair it with a Lookup/LookupIf that already did.
-  V InsertIfAbsent(const K& key, V value) {
+  /// shard evicts its own LRU tail past capacity; with `evicted` non-null
+  /// the victims are moved there instead of being destroyed under the shard
+  /// lock, so the caller picks the thread that pays for their destruction.
+  /// Does not count hit/miss — callers pair it with a Lookup/LookupIf that
+  /// already did.
+  V InsertIfAbsent(const K& key, V value, std::vector<V>* evicted = nullptr) {
     Shard& shard = ShardFor(key);
     util::MutexLock lock(shard.mu);
-    return InsertInShard(shard, key, std::move(value));
+    return InsertInShard(shard, key, std::move(value), evicted);
   }
 
   /// Visits every resident entry as fn(const K&, const V&), one shard at a
@@ -206,7 +210,8 @@ class ShardedLruCache {
 
   /// The under-lock half of InsertIfAbsent: keep-incumbent insert plus the
   /// per-shard LRU eviction.
-  V InsertInShard(Shard& shard, const K& key, V value) REQUIRES(shard.mu) {
+  V InsertInShard(Shard& shard, const K& key, V value,
+                  std::vector<V>* evicted) REQUIRES(shard.mu) {
     auto it = shard.index.find(key);
     if (it != shard.index.end()) {
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
@@ -216,6 +221,9 @@ class ShardedLruCache {
     shard.index[key] = shard.lru.begin();
     while (shard.lru.size() > per_shard_capacity_) {
       shard.index.erase(shard.lru.back().first);
+      if (evicted != nullptr) {
+        evicted->push_back(std::move(shard.lru.back().second));
+      }
       shard.lru.pop_back();
     }
     return shard.lru.front().second;

@@ -47,9 +47,12 @@ ref -> eps
 appendix -> note*
 )";
 
+// ctest runs each test case as its own process, several at once: the pid
+// keeps one case from truncating the file another case's server is reading.
 std::string WriteTempDtd(const std::string& name,
                          const char* text = kDtdText) {
-  std::string path = testing::TempDir() + name;
+  std::string path =
+      testing::TempDir() + std::to_string(getpid()) + "_" + name;
   std::ofstream out(path);
   out << text;
   EXPECT_TRUE(out.good());

@@ -491,6 +491,120 @@ TEST(SatEngineTest, HandleReleaseUnderLoadKeepsArtifactsAlive) {
   EXPECT_EQ(engine.live_dtd_handles(), 0u);
 }
 
+// Memory is bounded by configuration: with a memo large enough to keep every
+// verdict, live compiled artifacts still stay within dtd_cache_capacity plus
+// the schemas open handles hold, because a memo entry pins only its schema's
+// source Dtd. Counts artifacts; measures no bytes and no time.
+TEST(SatEngineTest, LiveArtifactsBoundedByCacheAndHandles) {
+  constexpr size_t kCacheCapacity = 8;
+  constexpr int kSchemas = 200;
+  const std::vector<std::string> queries = {
+      "A",    "B",    "C",    "r",    "A/B",  "A/C",   "B/C",     "**/A",
+      "**/B", "**/C", "A[B]", "B[C]", "A|B",  "*/C",   "**/B[C]", ".[A/C]"};
+  SatEngineOptions opt;
+  // One worker: the free of an artifact that registration i evicted is
+  // queued ahead of schema i's batch, so it has run when RunBatch returns.
+  opt.num_threads = 1;
+  opt.dtd_cache_capacity = kCacheCapacity;
+  // Twice the entries it will hold, so no shard of the memo evicts.
+  opt.memo_capacity = 2 * kSchemas * queries.size();
+  SatEngine engine(opt);
+
+  Rng rng(21);
+  std::vector<Dtd> schemas;
+  std::vector<std::weak_ptr<const CompiledDtd>> artifacts;
+  std::vector<DtdHandle> held;  // every 25th handle stays open to the end
+  for (int i = 0; i < kSchemas; ++i) {
+    // A random small schema, made distinct by an unreachable type.
+    Dtd d = RandomDtd(&rng, /*recursive=*/rng.Percent(30));
+    d.SetProduction("X" + std::to_string(i), Regex::Epsilon());
+    DtdHandle handle = engine.RegisterDtd(d);
+    artifacts.push_back(handle.compiled());
+    std::vector<SatRequest> batch;
+    for (const std::string& q : queries) {
+      SatRequest r;
+      r.query = q;
+      r.dtd = handle;
+      batch.push_back(std::move(r));
+    }
+    for (const SatResponse& resp : engine.RunBatch(batch)) {
+      ASSERT_TRUE(resp.status.ok()) << resp.status.message();
+    }
+    if (i % 25 == 0) held.push_back(handle);
+    schemas.push_back(std::move(d));
+    EXPECT_LE(engine.live_compiled_artifacts(),
+              kCacheCapacity + engine.live_dtd_handles())
+        << "after schema " << i;
+  }
+  EXPECT_EQ(engine.live_dtd_handles(), held.size());
+  EXPECT_EQ(engine.stats().dtd_cache_misses, static_cast<uint64_t>(kSchemas));
+  EXPECT_EQ(engine.stats().memo_misses, kSchemas * queries.size());
+
+  held.clear();
+  size_t alive = 0;
+  for (const auto& w : artifacts) alive += w.expired() ? 0 : 1;
+  EXPECT_LE(alive, kCacheCapacity) << "only cached artifacts may survive";
+  EXPECT_EQ(engine.live_compiled_artifacts(), alive);
+
+  // The memo still serves every schema, long after its artifacts died.
+  DtdHandle first = engine.RegisterDtd(schemas.front());
+  for (const std::string& q : queries) {
+    SatRequest r;
+    r.query = q;
+    r.dtd = first;
+    SatResponse resp = engine.Run(r);
+    ASSERT_TRUE(resp.status.ok());
+    EXPECT_TRUE(resp.memo_hit) << q;
+  }
+}
+
+// A memo entry outlives its schema's artifacts: after an evict and
+// recompile, the structural check serves the entry and re-pins it to the new
+// artifact's source, so later hits take the pointer fast path.
+TEST(SatEngineTest, MemoServesAfterItsArtifactIsEvictedAndRecompiled) {
+  SatEngineOptions opt;
+  opt.num_threads = 1;  // a Run drains the worker's queued frees first
+  opt.dtd_cache_capacity = 1;
+  opt.rewrite_cache_capacity = 0;  // only the memo may pin A's source
+  SatEngine engine(opt);
+  Dtd a = ParseDtdOrDie("root r\nr -> A*, B\nA -> C\nB -> eps\nC -> eps\n");
+  Dtd b = ParseDtdOrDie("root r\nr -> D*\nD -> eps\n");
+  SatRequest r;
+  r.query = "**/A[C]";
+  r.dtd = engine.RegisterDtd(a);
+  std::weak_ptr<const CompiledDtd> first_artifact = r.dtd.compiled();
+  std::weak_ptr<const Dtd> first_source = r.dtd.compiled()->shared_dtd;
+  SatResponse cold = engine.Run(r);
+  ASSERT_TRUE(cold.status.ok());
+  EXPECT_FALSE(cold.memo_hit);
+
+  r.dtd = DtdHandle();
+  SatRequest rb;
+  rb.query = "D";
+  rb.dtd = engine.RegisterDtd(b);  // evicts A
+  ASSERT_TRUE(engine.Run(rb).status.ok());
+  EXPECT_TRUE(first_artifact.expired()) << "the memo pinned A's artifacts";
+  EXPECT_FALSE(first_source.expired()) << "the memo pins A's source";
+  EXPECT_EQ(engine.live_compiled_artifacts(), 1u);
+
+  r.dtd = engine.RegisterDtd(a);  // a new artifact for the same schema
+  EXPECT_EQ(engine.stats().dtd_cache_misses, 3u);
+  ASSERT_NE(r.dtd.compiled()->shared_dtd, first_source.lock());
+  SatResponse warm = engine.Run(r);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_TRUE(warm.memo_hit);
+  EXPECT_EQ(warm.report.decision.verdict, cold.report.decision.verdict);
+  EXPECT_EQ(warm.report.algorithm, cold.report.algorithm);
+  // The hit re-pinned the entry to the new source: nothing holds the old one.
+  EXPECT_TRUE(first_source.expired());
+
+  SatResponse again = engine.Run(r);
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_TRUE(again.memo_hit);
+  EXPECT_EQ(again.report.decision.verdict, cold.report.decision.verdict);
+  EXPECT_EQ(engine.stats().memo_hits, 2u);
+}
+
 class EngineFacadeParity : public ::testing::TestWithParam<int> {};
 
 // The acceptance-criteria cross-check: randomized queries over randomized

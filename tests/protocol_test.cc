@@ -308,7 +308,9 @@ TEST(ProtocolFormatTest, StatsLineIsSingleLineJsonWithJsonFieldNames) {
   stats.memo_misses = 6;
   stats.uptime_ms = 9876;
   stats.snapshot_seq = 4;
-  std::string line = FormatStatsLine(stats, 3);
+  stats.live_dtd_handles = 3;
+  stats.live_compiled_artifacts = 2;
+  std::string line = FormatStatsLine(stats);
   EXPECT_EQ(line.rfind("stats {", 0), 0u) << line;
   EXPECT_EQ(line.find('\n'), std::string::npos);
   // Field names mirror the CLI's --json stats block.
@@ -318,7 +320,7 @@ TEST(ProtocolFormatTest, StatsLineIsSingleLineJsonWithJsonFieldNames) {
         "\"memo_hits\": 5", "\"memo_misses\": 6", "\"parse_errors\": 0",
         "\"cancellations\": 0", "\"deadline_expirations\": 0",
         "\"uptime_ms\": 9876", "\"snapshot_seq\": 4",
-        "\"live_dtd_handles\": 3"}) {
+        "\"live_dtd_handles\": 3", "\"live_compiled_artifacts\": 2"}) {
     EXPECT_NE(line.find(field), std::string::npos) << field << " in " << line;
   }
 }

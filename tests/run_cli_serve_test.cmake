@@ -79,6 +79,8 @@ expect_contains("err oversized-line")
 # `stats` is one machine-readable JSON line mirroring the --json field names.
 expect_contains("stats {\"requests\": 7")
 expect_contains("\"live_dtd_handles\": 1")  # b still registered, a dropped
+# a's artifact outlives its handle in the DTD cache, next to b's.
+expect_contains("\"live_compiled_artifacts\": 2}")
 expect_contains("ok quit")
 
 # Numeric-flag validation: garbage and out-of-range values must be usage

@@ -1196,9 +1196,10 @@ TEST(SocketServerTest, StatsAndMetricsAgree) {
   std::map<std::string, int64_t> routes =
       NumericFields(MetricsSection(metrics, "routes"));
 
-  // Not registry counters: the rewrite pair lives on RewriteCache;
-  // uptime_ms and snapshot_seq are stamped per reply; live_dtd_handles is
-  // the handle refcount, shared with pins that may outlive the engine.
+  // Not registry cells: the rewrite pair lives on RewriteCache; uptime_ms
+  // and snapshot_seq are stamped per reply; live_dtd_handles is the handle
+  // refcount, shared with pins that may outlive the engine. The
+  // live_compiled_artifacts gauge is a registry cell and is compared.
   const std::set<std::string> not_in_registry = {
       "rewrite_cache_hits", "rewrite_cache_misses", "uptime_ms",
       "snapshot_seq", "live_dtd_handles"};
@@ -1209,7 +1210,8 @@ TEST(SocketServerTest, StatsAndMetricsAgree) {
     EXPECT_EQ(cells[name], value) << name;
     ++compared;
   }
-  EXPECT_EQ(compared, kNumSatEngineCounters + 5) << "15 engine + 5 server";
+  EXPECT_EQ(compared, kNumSatEngineCounters + 6)
+      << "15 engine counters + the live-artifact gauge + 5 server";
   EXPECT_EQ(stats.at("memo_hits"), routes["memo-hit"]);
   EXPECT_EQ(stats.at("cancellations"), routes["cancelled"]);
   EXPECT_EQ(stats.at("deadline_expirations"), routes["deadline"]);

@@ -127,6 +127,15 @@ TEST(ShardedLruCacheTest, SharedPtrValuesSurviveEviction) {
   cache.InsertIfAbsent(2, std::make_shared<int>(8));  // evicts key 1
   EXPECT_EQ(cache.Lookup(1), std::nullopt);
   EXPECT_EQ(*held, 7);
+  // With an `evicted` vector the victim is handed to the caller, which
+  // decides where it is destroyed.
+  std::weak_ptr<int> second = *cache.Lookup(2);
+  std::vector<std::shared_ptr<int>> evicted;
+  cache.InsertIfAbsent(3, std::make_shared<int>(9), &evicted);  // evicts 2
+  ASSERT_EQ(evicted.size(), 1u);
+  EXPECT_EQ(*evicted[0], 8);
+  evicted.clear();
+  EXPECT_TRUE(second.expired());
 }
 
 TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {

@@ -585,6 +585,53 @@ TEST(EngineSnapshotTest, MemoDisabledEngineLoadsSchemasOnly) {
   std::remove(path.c_str());
 }
 
+// A memo entry pins only its schema's source Dtd. When the artifacts have
+// left the DTD cache, save compiles the schema again so the memo record
+// still has a verified schema in the same file, then releases it.
+TEST(EngineSnapshotTest, MemoWhoseSchemaWasEvictedStillRoundTrips) {
+  const std::string path = TempPath("snap_engine_evicted_memo.xpsnap");
+  Dtd a = MakeCatalogDtd();
+  Dtd b = ParseDtdOrDie("root r\nr -> D*\nD -> eps\n");
+  SatResponse cold;
+  {
+    SatEngineOptions opt;
+    opt.num_threads = 1;  // a Run drains the worker's queued frees first
+    opt.dtd_cache_capacity = 1;
+    SatEngine engine(opt);
+    SatRequest r;
+    r.query = "section/item[variant]";
+    r.dtd = engine.RegisterDtd(a);
+    cold = engine.Run(r);
+    ASSERT_TRUE(cold.status.ok());
+    r.query = "D";
+    r.dtd = engine.RegisterDtd(b);  // evicts A
+    ASSERT_TRUE(engine.Run(r).status.ok());
+    ASSERT_EQ(engine.live_compiled_artifacts(), 1u);
+
+    SnapshotSaveResult saved = engine.SaveSnapshot(path);
+    ASSERT_TRUE(saved.status.ok()) << saved.status.message();
+    EXPECT_EQ(saved.dtds_saved, 2u);  // B resident, A compiled for its memo
+    EXPECT_EQ(saved.memos_saved, 2u);
+    EXPECT_EQ(engine.live_compiled_artifacts(), 1u) << "save released A";
+  }
+  SatEngine engine;
+  SnapshotLoadResult loaded = engine.LoadSnapshot(path);
+  ASSERT_TRUE(loaded.status.ok()) << loaded.status.message();
+  EXPECT_EQ(loaded.dtds_loaded, 2u);
+  EXPECT_EQ(loaded.memos_loaded, 2u);
+  EXPECT_EQ(loaded.rejected_records, 0u);
+  SatRequest r;
+  r.query = "section/item[variant]";
+  r.dtd = engine.RegisterDtd(a);
+  SatResponse warm = engine.Run(r);
+  ASSERT_TRUE(warm.status.ok());
+  EXPECT_TRUE(warm.memo_hit);
+  EXPECT_EQ(warm.report.decision.verdict, cold.report.decision.verdict);
+  EXPECT_EQ(warm.report.algorithm, cold.report.algorithm);
+  EXPECT_EQ(engine.stats().dtd_cache_misses, 0u);  // A came from the file
+  std::remove(path.c_str());
+}
+
 TEST(EngineSnapshotTest, SaveIntoUnwritableDirectoryFailsCleanly) {
   SatEngine engine;
   SnapshotSaveResult saved =

@@ -172,10 +172,10 @@ SatEngine MakeEngine(const CliOptions& opt) {
 
 // One source of truth for the stats object: the protocol formatter the
 // server's `stats`/`health` verbs use (so the CLI JSON carries uptime_ms,
-// snapshot_seq, and live_dtd_handles like everything else).
+// snapshot_seq and the live-handle and live-artifact gauges like everything
+// else).
 void WriteJsonStats(std::ostream& out, const SatEngine& engine) {
-  out << "\"stats\": "
-      << protocol::FormatStatsJson(engine.stats(), engine.live_dtd_handles());
+  out << "\"stats\": " << protocol::FormatStatsJson(engine.stats());
 }
 
 // Per-phase latency summaries from the engine's histograms: only phases that
@@ -232,7 +232,7 @@ int RunServe(const CliOptions& opt) {
     // ~ServerSession drains: every pending result line is printed before
     // the final stats.
   }
-  emit(protocol::FormatStatsLine(engine.stats(), engine.live_dtd_handles()));
+  emit(protocol::FormatStatsLine(engine.stats()));
   if (!opt.json_file.empty()) {
     std::ofstream out(opt.json_file);
     if (!out) {

@@ -242,9 +242,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(saved.memos_saved));
     }
   }
-  std::printf("%s\n",
-              protocol::FormatStatsLine(engine.stats(),
-                                        engine.live_dtd_handles())
-                  .c_str());
+  std::printf("%s\n", protocol::FormatStatsLine(engine.stats()).c_str());
   return 0;
 }
