@@ -74,7 +74,7 @@ struct DtdPin {
   }
 };
 
-// Owner of one artifact the engine compiled or decoded: every shared_ptr the
+// Owner of one artifact the engine compiled: every shared_ptr the
 // engine hands out aliases it, so the artifact dies, and leaves the
 // live_compiled_artifacts gauge, with its last user. The gauge is held
 // through the shared registry, so that release stays safe even after the
@@ -631,10 +631,13 @@ SnapshotSaveResult SatEngine::SaveSnapshot(const std::string& path) const {
   // Phase 1: collect, under the shard locks, shared_ptr copies only.
   // ForEach visits one shard at a time, so a save racing live traffic holds
   // no lock for longer than one shard walk and serializes nothing global.
-  std::map<uint64_t, std::shared_ptr<const CompiledDtd>> resident;
+  // One schema per fingerprint per file, so a loaded memo is verifiable
+  // against a schema from the same file: the DTD cache's sources first,
+  // then the Dtds that memo entries pin.
+  std::map<uint64_t, std::shared_ptr<const Dtd>> sources;
   dtd_cache_.ForEach(
       [&](const uint64_t& fp, const std::shared_ptr<const CompiledDtd>& v) {
-        resident.emplace(fp, v);
+        sources.emplace(fp, v->shared_dtd);
       });
   std::vector<std::pair<std::string, MemoEntry>> memos;
   if (options_.memo_capacity > 0) {
@@ -644,20 +647,9 @@ SnapshotSaveResult SatEngine::SaveSnapshot(const std::string& path) const {
     });
   }
 
-  // Phase 2: serialize and write, outside every lock. One schema per
-  // fingerprint per file, so a loaded memo is verifiable against a schema
-  // from the same file: the resident artifacts' sources first, then the
-  // Dtds pinned by memo entries whose artifacts left the DTD cache. A memo
-  // whose fingerprint slot is owned by a different, non-equivalent schema (a
+  // Phase 2: serialize and write, outside every lock. A memo whose
+  // fingerprint slot is owned by a different, non-equivalent schema (a
   // collision) is dropped.
-  store::SnapshotWriter writer;
-  result.status = writer.Open(path);
-  if (!result.status.ok()) return result;
-
-  std::map<uint64_t, std::shared_ptr<const Dtd>> sources;
-  for (const auto& kv : resident) {
-    sources.emplace(kv.first, kv.second->shared_dtd);
-  }
   for (auto& kv : memos) {
     const std::shared_ptr<const Dtd>& dtd = kv.second.dtd;
     auto it = sources.emplace(MemoKeyFingerprint(kv.first), dtd).first;
@@ -665,14 +657,12 @@ SnapshotSaveResult SatEngine::SaveSnapshot(const std::string& path) const {
       kv.second.report = nullptr;  // marks the entry dropped
     }
   }
+  store::SnapshotWriter writer;
+  result.status = writer.Open(path);
+  if (!result.status.ok()) return result;
   for (const auto& [fp, dtd] : sources) {
-    auto it = resident.find(fp);
-    // A memo-only schema is compiled here and released once its record is
-    // written, so a save holds at most one artifact beyond the cache's.
-    std::shared_ptr<const CompiledDtd> compiled =
-        it != resident.end() ? it->second : Track(CompiledDtd::Compile(*dtd));
-    result.status = writer.Append(store::RecordTag::kCompiledDtd,
-                                  store::EncodeCompiledDtdRecord(*compiled));
+    result.status = writer.Append(store::RecordTag::kSchema,
+                                  store::EncodeSchemaRecord(*dtd, fp));
     if (!result.status.ok()) return result;
     ++result.dtds_saved;
   }
@@ -728,8 +718,9 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
   // Schemas decoded AND verified from this file, by fingerprint. Memo
   // records attach only through this map — never to whatever happens to be
   // resident under their claimed fingerprint — so a forged fingerprint can
-  // not graft a memo onto an unrelated schema.
-  std::map<uint64_t, std::shared_ptr<const CompiledDtd>> file_schemas;
+  // not graft a memo onto an unrelated schema. Only the source Dtds are
+  // kept, so a load pins no more compiled artifacts than the cache holds.
+  std::map<uint64_t, std::shared_ptr<const Dtd>> file_schemas;
   const bool memo_enabled = options_.memo_capacity > 0;
 
   for (;;) {
@@ -746,35 +737,20 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
       ++result.corrupt_records;
       continue;
     }
-    if (tag == static_cast<uint8_t>(store::RecordTag::kCompiledDtd)) {
-      Result<std::shared_ptr<const CompiledDtd>> decoded =
-          store::DecodeCompiledDtdRecord(payload);
+    if (tag == static_cast<uint8_t>(store::RecordTag::kSchema)) {
+      Result<Dtd> decoded = store::DecodeSchemaRecord(payload);
       if (!decoded.ok()) {
         ++result.rejected_records;
         continue;
       }
-      std::shared_ptr<const CompiledDtd> compiled =
-          Track(std::move(decoded).value());
-      const uint64_t fp = compiled->fingerprint;
-      // Admission runs the exact in-memory hit path: verify an equivalent
-      // incumbent (and share its artifacts), otherwise keep-incumbent
-      // insert. A non-equivalent incumbent keeps the cache slot and the
-      // decoded schema stays file-local — memos from this file still verify
-      // against it, but it never displaces live state.
-      std::optional<std::shared_ptr<const CompiledDtd>> incumbent =
-          dtd_cache_.LookupIf(fp,
-                              [&](std::shared_ptr<const CompiledDtd>& v) {
-                                return v->dtd.EquivalentTo(compiled->dtd);
-                              });
-      if (incumbent.has_value()) {
-        file_schemas[fp] = *incumbent;
-      } else {
-        std::shared_ptr<const CompiledDtd> resident =
-            dtd_cache_.InsertIfAbsent(fp, compiled);
-        file_schemas[fp] = resident->dtd.EquivalentTo(compiled->dtd)
-                               ? resident
-                               : compiled;
-      }
+      // Admission is RegisterDtd's path: an equivalent cached schema is
+      // reused; otherwise the schema is compiled here and inserted
+      // keep-incumbent. On a collision the fresh compile is not cached and
+      // the schema stays file-local — memos from this file still attach to
+      // it, but it never displaces live state.
+      const Dtd& dtd = decoded.value();
+      const uint64_t fp = dtd.Fingerprint();
+      file_schemas[fp] = LookupDtd(dtd, fp, nullptr)->shared_dtd;
       ++result.dtds_loaded;
       Count<&SatEngineStats::store_dtds_loaded>();
     } else if (tag == static_cast<uint8_t>(store::RecordTag::kMemoEntry)) {
@@ -793,7 +769,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
         continue;
       }
       MemoEntry entry;
-      entry.dtd = it->second->shared_dtd;
+      entry.dtd = it->second;
       auto report = std::make_shared<SatReport>();
       report->algorithm = std::move(record.algorithm);
       report->decision.verdict = record.verdict;

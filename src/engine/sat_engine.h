@@ -234,9 +234,9 @@ class SatTicket {
 /// Outcome of SatEngine::SaveSnapshot.
 struct SnapshotSaveResult {
   Status status;
-  /// CompiledDtd records written: resident artifacts, plus the schemas of
-  /// memo entries whose artifacts had left the DTD cache (compiled at save
-  /// time from the Dtd the entry pins).
+  /// Schema records written: the source Dtd of every artifact in the DTD
+  /// cache, plus the Dtds that memo entries pin whose artifacts had left
+  /// it. Save compiles nothing.
   uint64_t dtds_saved = 0;
   /// Memo records written.
   uint64_t memos_saved = 0;
@@ -257,15 +257,16 @@ struct SnapshotLoadResult {
   ErrorKind error_kind = ErrorKind::kNone;
   /// The version an incompatible file claims (ErrorKind::kVersion only).
   uint32_t file_version = 0;
-  /// Verified CompiledDtd records admitted (or matched to an equivalent
-  /// incumbent already in the cache).
+  /// Verified schema records admitted: compiled into the DTD cache, or
+  /// matched to an equivalent incumbent already there.
   uint64_t dtds_loaded = 0;
   /// Memo records attached to a schema verified from this file.
   uint64_t memos_loaded = 0;
   /// Records that failed their CRC or ended mid-record (skipped).
   uint64_t corrupt_records = 0;
-  /// Records that decoded but failed verification — forged fingerprint,
-  /// malformed artifacts, memo without its schema (skipped).
+  /// Records that passed their CRC but failed verification — forged
+  /// fingerprint, unparsable schema, malformed memo, memo without its
+  /// schema (skipped).
   uint64_t rejected_records = 0;
   /// True when the scan ended at a torn tail instead of a clean EOF.
   bool truncated = false;
@@ -323,7 +324,7 @@ struct SatEngineStats {
   /// before they started.
   uint64_t deadline_expirations = 0;
   /// Artifact-store (snapshot) counters, bumped by LoadSnapshot: verified
-  /// DTD records admitted, memo records attached, records skipped for CRC
+  /// schema records admitted, memo records attached, records skipped for CRC
   /// failure / truncation, records rejected by verification, and whole-file
   /// version rejections. Not per-request; not part of the <= invariants.
   uint64_t store_dtds_loaded = 0;
@@ -425,25 +426,27 @@ class SatEngine {
   /// warm-up; RegisterDtd uses this internally).
   std::shared_ptr<const CompiledDtd> CompileAndCache(const Dtd& dtd);
 
-  /// Writes a versioned snapshot (src/store/snapshot.h) of the compiled-DTD
-  /// artifacts and the verdict memo to `path`, atomically (temp + rename).
-  /// Entries are collected by walking the sharded caches one shard at a
-  /// time under that shard's lock (shared_ptr copies only — serialization
-  /// happens outside every lock), so a save concurrent with live traffic is
-  /// safe and captures a consistent-per-shard view. A memo entry pins only
-  /// its schema's source Dtd, so a schema whose artifacts have left the DTD
-  /// cache is compiled again here — once per distinct fingerprint, outside
-  /// every lock — and persisted too, so every saved memo record can be
-  /// re-verified on load.
+  /// Writes a versioned snapshot (src/store/snapshot.h) of the served
+  /// schemas and the verdict memo to `path`, atomically (a temporary unique
+  /// to this save, synced, then renamed). Entries are collected by walking
+  /// the sharded caches one shard at a time under that shard's lock
+  /// (shared_ptr copies only — serialization happens outside every lock),
+  /// so a save concurrent with live traffic is safe and captures a
+  /// consistent-per-shard view. Each fingerprint's source Dtd is written
+  /// once: from the DTD cache, or from the memo entries that pin it after
+  /// its artifacts were evicted, so every saved memo record can be
+  /// re-verified on load. Save compiles nothing.
   SnapshotSaveResult SaveSnapshot(const std::string& path) const;
 
   /// Warms the caches from a snapshot at `path`. Per-record trust chain:
-  /// a record must pass its CRC, its embedded schema must re-derive the
-  /// fingerprint it is keyed by, and memo entries attach only to a schema
-  /// decoded and verified from the same file — corrupt, truncated, or
-  /// colliding records are skipped and counted, never trusted. Insertions
-  /// go through the same keep-incumbent paths as live registration, so a
-  /// load never clobbers hotter in-memory state, and the runtime
+  /// a record must pass its CRC, its schema text must parse and re-derive
+  /// the fingerprint it is keyed by, and memo entries attach only to a
+  /// schema verified from the same file — corrupt, truncated, or
+  /// colliding records are skipped and counted, never trusted. Each schema
+  /// is admitted through LookupDtd, the path RegisterDtd takes: an
+  /// equivalent cached schema is reused, otherwise it is compiled and
+  /// inserted keep-incumbent, so a load never clobbers hotter in-memory
+  /// state and never reads a derived artifact from disk. The runtime
   /// EquivalentTo hit checks still guard every warm entry. The whole load
   /// is stamped as an `artifact-store-load` span (histogram, route counter,
   /// RequestTrace into the slow-query log when over threshold).
@@ -477,10 +480,10 @@ class SatEngine {
   /// Registrations currently pinned by live handles (a gauge, not a
   /// counter).
   uint64_t live_dtd_handles() const;
-  /// CompiledDtds this engine compiled (registration, snapshot save) or
-  /// loaded that are still alive, wherever they are held: the DTD cache,
-  /// handles, in-flight requests, evictions queued for a worker to free (a
-  /// gauge, not a counter).
+  /// CompiledDtds this engine compiled (registration, snapshot load) that
+  /// are still alive, wherever they are held: the DTD cache, handles,
+  /// in-flight requests, evictions queued for a worker to free (a gauge,
+  /// not a counter).
   uint64_t live_compiled_artifacts() const;
   int num_threads() const { return pool_.num_threads(); }
   /// The resolved engine-wide shard target (cache_shards rounded up to a
@@ -522,8 +525,7 @@ class SatEngine {
   std::shared_ptr<const CompiledDtd> LookupDtd(const Dtd& dtd, uint64_t fp,
                                                bool* hit);
   /// Counts `compiled` in the live_compiled_artifacts gauge until its last
-  /// owner lets go; every artifact the engine compiles or decodes goes
-  /// through here.
+  /// owner lets go; every artifact the engine compiles goes through here.
   std::shared_ptr<const CompiledDtd> Track(
       std::shared_ptr<const CompiledDtd> compiled) const;
   std::shared_ptr<const CachedQuery> LookupQuery(const std::string& text,

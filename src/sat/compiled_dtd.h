@@ -45,7 +45,7 @@ struct LabelGraph {
 /// shared_ptr<const CompiledDtd>.
 struct CompiledDtd {
   /// Sets `shared_dtd`, `dtd` and `fingerprint`; the artifacts below are
-  /// left for Compile (or the snapshot decoder) to fill in.
+  /// left for Compile to fill in.
   explicit CompiledDtd(Dtd source);
 
   /// The source DTD, the one owned copy (a copied CompiledDtd shares it).

@@ -32,7 +32,7 @@
 //                       line, or a multi-line Prometheus text exposition
 //                       (terminated by "# EOF") with `metrics prom`
 //   slow                drain the slow-query log as one JSON line
-//   save PATH           write a compiled-artifact snapshot to PATH
+//   save PATH           write a schema-and-memo snapshot to PATH
 //   load PATH           warm the caches from the snapshot at PATH
 //   quit                flush and close the session
 //
@@ -63,7 +63,7 @@
 //                              instead emits the multi-line exposition
 //                              ending with a bare "# EOF" line
 //   slow {...}                 single-line JSON draining the slow-query log
-//   ok save dtds=N memos=M     snapshot written (N artifact, M memo records)
+//   ok save dtds=N memos=M     snapshot written (N schema, M memo records)
 //   ok load dtds=N memos=M skipped=K
 //                              caches warmed; K records were skipped
 //                              (corrupt, truncated, or failed verification)

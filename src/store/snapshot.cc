@@ -1,14 +1,12 @@
 #include "src/store/snapshot.h"
 
-#include <cstdio>
-#include <cstring>
-#include <map>
-#include <set>
-#include <utility>
-#include <vector>
+#include <fcntl.h>
+#include <unistd.h>
 
-#include "src/xml/dtd.h"
-#include "src/xml/tree.h"
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <utility>
 
 namespace xpathsat {
 namespace store {
@@ -141,10 +139,16 @@ void SnapshotWriter::Abandon() {
 Status SnapshotWriter::Open(const std::string& path) {
   if (file_ != nullptr) return Status::Error("writer already open");
   path_ = path;
-  tmp_path_ = path + ".tmp";
-  file_ = std::fopen(tmp_path_.c_str(), "wb");
+  // One temporary per writer: concurrent saves to the same path never share
+  // a file, so each rename commits one writer's whole snapshot.
+  tmp_path_ = path + ".tmp.XXXXXX";
+  const int fd = ::mkstemp(&tmp_path_[0]);
+  if (fd < 0) return Status::Error("cannot create " + tmp_path_);
+  file_ = ::fdopen(fd, "wb");
   if (file_ == nullptr) {
-    return Status::Error("cannot create " + tmp_path_);
+    ::close(fd);
+    std::remove(tmp_path_.c_str());
+    return Status::Error("cannot open " + tmp_path_);
   }
   std::string header(kSnapshotMagic, sizeof(kSnapshotMagic));
   PutU32(&header, kSnapshotFormatVersion);
@@ -177,7 +181,9 @@ Status SnapshotWriter::Append(RecordTag tag, const std::string& payload) {
 
 Status SnapshotWriter::Commit() {
   if (file_ == nullptr) return Status::Error("writer not open");
-  bool ok = (std::fflush(file_) == 0);
+  // The data must be on disk before the rename is: otherwise a machine
+  // crash can persist the new name over an empty or partial file.
+  bool ok = (std::fflush(file_) == 0) && (::fsync(::fileno(file_)) == 0);
   ok = (std::fclose(file_) == 0) && ok;
   file_ = nullptr;
   if (!ok) {
@@ -188,6 +194,14 @@ Status SnapshotWriter::Commit() {
     std::remove(tmp_path_.c_str());
     return Status::Error("rename failed: " + tmp_path_ + " -> " + path_);
   }
+  // And the rename itself is durable only once the directory entry is.
+  const size_t slash = path_.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path_.substr(0, slash + 1);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  ok = dir_fd >= 0 && ::fsync(dir_fd) == 0;
+  if (dir_fd >= 0) ::close(dir_fd);
+  if (!ok) return Status::Error("directory sync failed on " + dir);
   return Status::Ok();
 }
 
@@ -285,108 +299,9 @@ SnapshotReader::Outcome SnapshotReader::Next(uint8_t* tag,
   return Outcome::kRecord;
 }
 
-// --- Artifact record codecs ----------------------------------------------
+// --- Record codecs --------------------------------------------------------
 
 namespace {
-
-void PutStringSet(std::string* out, const std::set<std::string>& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  for (const std::string& v : s) PutString(out, v);
-}
-
-bool ReadStringSet(ByteReader* r, std::set<std::string>* s) {
-  uint32_t n = 0;
-  if (!r->ReadU32(&n)) return false;
-  s->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string v;
-    if (!r->ReadString(&v)) return false;
-    s->insert(std::move(v));
-  }
-  return true;
-}
-
-void PutStringSetMap(std::string* out,
-                     const std::map<std::string, std::set<std::string>>& m) {
-  PutU32(out, static_cast<uint32_t>(m.size()));
-  for (const auto& kv : m) {
-    PutString(out, kv.first);
-    PutStringSet(out, kv.second);
-  }
-}
-
-bool ReadStringSetMap(ByteReader* r,
-                      std::map<std::string, std::set<std::string>>* m) {
-  uint32_t n = 0;
-  if (!r->ReadU32(&n)) return false;
-  m->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string k;
-    std::set<std::string> v;
-    if (!r->ReadString(&k) || !ReadStringSet(r, &v)) return false;
-    (*m)[std::move(k)] = std::move(v);
-  }
-  return true;
-}
-
-void PutLabelGraph(std::string* out, const LabelGraph& g) {
-  PutStringSet(out, g.terminating);
-  PutStringSetMap(out, g.edges);
-  PutStringSetMap(out, g.closure);
-}
-
-bool ReadLabelGraph(ByteReader* r, LabelGraph* g) {
-  return ReadStringSet(r, &g->terminating) && ReadStringSetMap(r, &g->edges) &&
-         ReadStringSetMap(r, &g->closure);
-}
-
-void PutNfa(std::string* out, const Nfa& nfa) {
-  PutU32(out, static_cast<uint32_t>(nfa.num_states));
-  PutU32(out, static_cast<uint32_t>(nfa.start));
-  PutU32(out, static_cast<uint32_t>(nfa.accepting.size()));
-  for (bool a : nfa.accepting) PutBool(out, a);
-  PutU32(out, static_cast<uint32_t>(nfa.trans.size()));
-  for (const auto& edges : nfa.trans) {
-    PutU32(out, static_cast<uint32_t>(edges.size()));
-    for (const auto& e : edges) {
-      PutString(out, e.first);
-      PutU32(out, static_cast<uint32_t>(e.second));
-    }
-  }
-}
-
-bool ReadNfa(ByteReader* r, Nfa* nfa) {
-  uint32_t num_states = 0, start = 0, num_acc = 0, num_trans = 0;
-  if (!r->ReadU32(&num_states) || !r->ReadU32(&start)) return false;
-  // Structural validation: a decoded automaton must be internally
-  // consistent or the sibling decider would index out of bounds.
-  if (num_states > kMaxRecordLen) return false;
-  if (num_states > 0 && start >= num_states) return false;
-  if (!r->ReadU32(&num_acc) || num_acc != num_states) return false;
-  nfa->num_states = static_cast<int>(num_states);
-  nfa->start = static_cast<int>(start);
-  nfa->accepting.assign(num_states, false);
-  for (uint32_t i = 0; i < num_acc; ++i) {
-    bool a = false;
-    if (!r->ReadBool(&a)) return false;
-    nfa->accepting[i] = a;
-  }
-  if (!r->ReadU32(&num_trans) || num_trans != num_states) return false;
-  nfa->trans.assign(num_states, {});
-  for (uint32_t i = 0; i < num_trans; ++i) {
-    uint32_t num_edges = 0;
-    if (!r->ReadU32(&num_edges)) return false;
-    nfa->trans[i].reserve(num_edges);
-    for (uint32_t j = 0; j < num_edges; ++j) {
-      std::string sym;
-      uint32_t target = 0;
-      if (!r->ReadString(&sym) || !r->ReadU32(&target)) return false;
-      if (target >= num_states) return false;
-      nfa->trans[i].emplace_back(std::move(sym), static_cast<int>(target));
-    }
-  }
-  return true;
-}
 
 void PutWitness(std::string* out, const XmlTree& tree) {
   PutU32(out, static_cast<uint32_t>(tree.size()));
@@ -429,98 +344,33 @@ bool ReadWitness(ByteReader* r, XmlTree* tree) {
   return true;
 }
 
-void PutMinSizes(std::string* out,
-                 const std::map<std::string, long long>& sizes) {
-  PutU32(out, static_cast<uint32_t>(sizes.size()));
-  for (const auto& kv : sizes) {
-    PutString(out, kv.first);
-    PutU64(out, static_cast<uint64_t>(kv.second));
-  }
-}
-
-bool ReadMinSizes(ByteReader* r, std::map<std::string, long long>* sizes) {
-  uint32_t n = 0;
-  if (!r->ReadU32(&n)) return false;
-  sizes->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string k;
-    uint64_t v = 0;
-    if (!r->ReadString(&k) || !r->ReadU64(&v)) return false;
-    (*sizes)[std::move(k)] = static_cast<long long>(v);
-  }
-  return true;
-}
-
 }  // namespace
 
-std::string EncodeCompiledDtdRecord(const CompiledDtd& compiled) {
+std::string EncodeSchemaRecord(const Dtd& dtd, uint64_t fingerprint) {
   std::string out;
-  PutString(&out, compiled.dtd.ToString());
-  PutU64(&out, compiled.fingerprint);
-  PutBool(&out, compiled.disjunction_free);
-  PutLabelGraph(&out, compiled.graph);
-  PutMinSizes(&out, compiled.min_sizes);
-  PutU32(&out, static_cast<uint32_t>(compiled.content_nfas.size()));
-  for (const auto& kv : compiled.content_nfas) {
-    PutString(&out, kv.first);
-    PutNfa(&out, kv.second);
-  }
-  PutString(&out, compiled.norm.dtd.ToString());
-  PutStringSet(&out, compiled.norm.new_types);
-  PutLabelGraph(&out, compiled.norm_graph);
+  PutString(&out, dtd.ToString());
+  PutU64(&out, fingerprint);
   return out;
 }
 
-Result<std::shared_ptr<const CompiledDtd>> DecodeCompiledDtdRecord(
-    const std::string& payload) {
-  using R = Result<std::shared_ptr<const CompiledDtd>>;
+Result<Dtd> DecodeSchemaRecord(const std::string& payload) {
+  using R = Result<Dtd>;
   ByteReader r(payload);
-
   std::string dtd_text;
   uint64_t fingerprint = 0;
-  if (!r.ReadString(&dtd_text) || !r.ReadU64(&fingerprint)) {
-    return R::Error("short compiled-DTD record");
+  if (!r.ReadString(&dtd_text) || !r.ReadU64(&fingerprint) || !r.AtEnd()) {
+    return R::Error("short schema record");
   }
   Result<Dtd> dtd = Dtd::Parse(dtd_text);
-  if (!dtd.ok()) {
-    return R::Error("embedded DTD does not parse: " + dtd.error());
-  }
+  if (!dtd.ok()) return R::Error("schema does not parse: " + dtd.error());
   // The collision-verification anchor: the fingerprint this record is keyed
   // by must be derivable from its own schema text. A forged or drifted key
   // is rejected here, so memo entries resolved against this record can rely
   // on the fingerprint meaning what it claims.
-  auto compiled = std::make_shared<CompiledDtd>(std::move(dtd).value());
-  if (compiled->fingerprint != fingerprint) {
-    return R::Error("fingerprint does not match the embedded DTD");
+  if (dtd.value().Fingerprint() != fingerprint) {
+    return R::Error("fingerprint does not match the schema");
   }
-
-  if (!r.ReadBool(&compiled->disjunction_free) ||
-      !ReadLabelGraph(&r, &compiled->graph) ||
-      !ReadMinSizes(&r, &compiled->min_sizes)) {
-    return R::Error("short compiled-DTD record");
-  }
-  uint32_t num_nfas = 0;
-  if (!r.ReadU32(&num_nfas)) return R::Error("short compiled-DTD record");
-  for (uint32_t i = 0; i < num_nfas; ++i) {
-    std::string type;
-    Nfa nfa;
-    if (!r.ReadString(&type) || !ReadNfa(&r, &nfa)) {
-      return R::Error("malformed content-model automaton");
-    }
-    compiled->content_nfas[std::move(type)] = std::move(nfa);
-  }
-  std::string norm_text;
-  if (!r.ReadString(&norm_text)) return R::Error("short compiled-DTD record");
-  Result<Dtd> norm = Dtd::Parse(norm_text);
-  if (!norm.ok()) {
-    return R::Error("embedded normal form does not parse: " + norm.error());
-  }
-  compiled->norm.dtd = std::move(norm).value();
-  if (!ReadStringSet(&r, &compiled->norm.new_types) ||
-      !ReadLabelGraph(&r, &compiled->norm_graph) || !r.AtEnd()) {
-    return R::Error("short compiled-DTD record");
-  }
-  return R(std::shared_ptr<const CompiledDtd>(std::move(compiled)));
+  return dtd;
 }
 
 std::string EncodeMemoRecord(const MemoRecord& record) {

@@ -1,10 +1,13 @@
-// Persistent compiled-artifact store: the versioned, checksummed on-disk
-// snapshot format behind `save PATH` / `load PATH` and `--warm-from`.
+// Persistent snapshot store: the versioned, checksummed on-disk format
+// behind `save PATH` / `load PATH` and `--warm-from`.
 //
-// A snapshot holds the engine's expensive-to-recompute state — serialized
-// CompiledDtd artifacts (Glushkov NFAs, label graphs, Prop 3.3 normal
-// forms) and the verdict memo — so a restarted server warms from disk
-// instead of re-paying compilation and re-deciding memoized verdicts.
+// A snapshot holds what cannot be re-derived cheaply from nothing: the
+// schemas the engine serves (DTD text plus fingerprint) and the verdict
+// memo, so a restarted server answers memoized queries without re-deciding
+// them. The per-DTD artifacts the deciders run on (label graphs, Glushkov
+// NFAs, Prop 3.3 normal forms, minimal sizes) are never written: they are
+// polynomial-time functions of the schema, and the loader recompiles them.
+// So the format knows nothing of their layout.
 //
 // File layout (all integers little-endian):
 //
@@ -14,41 +17,45 @@
 // The CRC32 (IEEE, poly 0xEDB88320) covers the tag byte plus the payload.
 // Readers never trust a record: a CRC mismatch skips the record and keeps
 // scanning (kCorrupt), a short read stops the scan (kTruncated), and a file
-// whose format version is newer than kSnapshotFormatVersion is rejected
-// outright with a structured kBadVersion error — forward compatibility is
-// explicit, never guessed at.
+// whose format version differs from kSnapshotFormatVersion is rejected
+// outright with a structured kBadVersion error — compatibility is explicit,
+// never guessed at.
 //
 // Trust model: a snapshot is operator-supplied input, like a --dtd file.
 // The CRC catches accidental corruption (torn writes, bit rot, truncation);
 // the loader additionally re-derives every DTD fingerprint from the decoded
-// schema text (store::DecodeCompiledDtdRecord), so a record whose claimed
+// schema text (store::DecodeSchemaRecord), so a record whose claimed
 // fingerprint does not match its own schema — forged or drifted — is
 // rejected, and memo entries only ever attach to a schema decoded and
-// verified from the same file. The engine's in-memory EquivalentTo hit
-// checks remain in force on top, so a fingerprint collision can never serve
-// verdicts for the wrong schema, warm-loaded or not.
+// verified from the same file. Derived artifacts are never read from disk,
+// so no record can hand the deciders a damaged label graph or automaton.
+// The engine's in-memory EquivalentTo hit checks remain in force on top, so
+// a fingerprint collision can never serve verdicts for the wrong schema,
+// warm-loaded or not.
 //
-// Writes are atomic at the file level: SnapshotWriter writes `path.tmp` and
-// renames it over `path` on Commit, so a crashed save leaves any previous
-// snapshot intact.
+// Writes are atomic at the file level: each SnapshotWriter writes its own
+// uniquely named temporary next to `path`, syncs it, and renames it over
+// `path` on Commit (then syncs the directory), so a crashed save leaves any
+// previous snapshot intact and concurrent saves to one path each commit a
+// whole file — the last rename wins.
 //
 // Versioning policy: kSnapshotFormatVersion bumps on ANY incompatible
-// layout change (record payloads included). Old readers reject newer files;
-// newer readers may choose to read older versions but are not required to —
-// v1 readers reject everything but v1. The README "Persistence" section
-// keeps a changelog row per version (enforced by the `store-version` rule
-// in tools/lint/check_invariants.py).
+// layout change (record payloads included). Readers accept exactly their
+// own version and reject older files as they reject newer ones. The README
+// "Persistence" section keeps a changelog row per version (enforced by the
+// `store-version` rule in tools/lint/check_invariants.py, which also keeps
+// src/store/ free of the compiled-artifact headers).
 #ifndef XPATHSAT_STORE_SNAPSHOT_H_
 #define XPATHSAT_STORE_SNAPSHOT_H_
 
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <string>
 
-#include "src/sat/compiled_dtd.h"
-#include "src/sat/satisfiability.h"
+#include "src/sat/decision.h"
 #include "src/util/status.h"
+#include "src/xml/dtd.h"
+#include "src/xml/tree.h"
 
 namespace xpathsat {
 namespace store {
@@ -59,7 +66,7 @@ inline constexpr char kSnapshotMagic[8] = {'X', 'P', 'S', 'T',
 /// Current snapshot format version. Bumping this requires a matching
 /// changelog row in the README "Persistence" section (lint rule
 /// `store-version`).
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 
 /// Record payloads larger than this are treated as corruption (a flipped
 /// length field must not drive a multi-gigabyte allocation).
@@ -68,7 +75,7 @@ inline constexpr uint32_t kMaxRecordLen = 64u * 1024 * 1024;
 /// Record types. Unknown tags are skipped (forward-compatible within a
 /// version for additive record kinds).
 enum class RecordTag : uint8_t {
-  kCompiledDtd = 1,
+  kSchema = 1,
   kMemoEntry = 2,
 };
 
@@ -112,9 +119,10 @@ class ByteReader {
 
 // --- File writer ----------------------------------------------------------
 
-/// Writes a snapshot to `path` atomically: records accumulate in
-/// `path.tmp`, which Commit renames over `path`. Abandoning the writer
-/// (destruction without Commit) removes the temporary.
+/// Writes a snapshot to `path` atomically: records accumulate in a
+/// temporary `path.tmp.XXXXXX` unique to this writer, which Commit syncs
+/// and renames over `path`. Abandoning the writer (destruction without
+/// Commit) removes the temporary.
 class SnapshotWriter {
  public:
   SnapshotWriter() = default;
@@ -123,11 +131,13 @@ class SnapshotWriter {
   SnapshotWriter(const SnapshotWriter&) = delete;
   SnapshotWriter& operator=(const SnapshotWriter&) = delete;
 
-  /// Creates `path.tmp` and writes the header. Fails on I/O errors.
+  /// Creates this writer's temporary and writes the header. Fails on I/O
+  /// errors.
   Status Open(const std::string& path);
   /// Appends one record (tag + length + payload + CRC).
   Status Append(RecordTag tag, const std::string& payload);
-  /// Flushes, closes, and renames the temporary over `path`.
+  /// Flushes and fsyncs the temporary, renames it over `path`, and fsyncs
+  /// the directory so the rename survives a machine crash.
   Status Commit();
 
  private:
@@ -182,18 +192,16 @@ class SnapshotReader {
   bool done_ = false;
 };
 
-// --- Artifact record codecs ----------------------------------------------
+// --- Record codecs --------------------------------------------------------
 
-/// Serializes one CompiledDtd (schema text + every derived artifact) as a
-/// kCompiledDtd payload.
-std::string EncodeCompiledDtdRecord(const CompiledDtd& compiled);
+/// Serializes one schema as a kSchema payload: its DTD text and the
+/// fingerprint memo records name it by.
+std::string EncodeSchemaRecord(const Dtd& dtd, uint64_t fingerprint);
 
-/// Decodes a kCompiledDtd payload. Verifies internal consistency: the
-/// schema text must parse, and its recomputed Dtd::Fingerprint() must equal
-/// the fingerprint the record claims (rejecting forged or drifted keys).
-/// Returns the decoded artifacts or an error; never trusts the input.
-Result<std::shared_ptr<const CompiledDtd>> DecodeCompiledDtdRecord(
-    const std::string& payload);
+/// Decodes a kSchema payload. The schema text must parse, and its
+/// recomputed Dtd::Fingerprint() must equal the fingerprint the record
+/// claims (rejecting forged or drifted keys). Never trusts the input.
+Result<Dtd> DecodeSchemaRecord(const std::string& payload);
 
 /// One memoized verdict, keyed exactly like the engine's in-memory memo.
 struct MemoRecord {

@@ -52,15 +52,15 @@ TEST(CompiledDtdTest, RealizableEdgesRespectNontermination) {
 // --- Artifact reuse and snapshot parity ------------------------------------
 //
 // The engine compiles a DTD once, shares the artifact across every query and
-// thread, memoizes f(p) in a RewriteCache, and restores artifacts from
-// snapshots on restart. Each decider must return the same verdict there as
+// thread, memoizes f(p) in a RewriteCache, and recompiles schemas restored
+// from snapshots on restart. Each decider must return the same verdict there as
 // on the one-shot path: a CompiledDtd::Compile made for that single call and
 // no rewrite cache.
 
 class CompiledAgreement : public ::testing::TestWithParam<int> {};
 
-// One schema as the engine holds it: compiled once, plus the same artifact
-// after a snapshot encode/decode round trip.
+// One schema as the engine holds it: compiled once, plus the artifact a
+// warm engine compiles from the schema record a snapshot carries.
 struct HeldArtifacts {
   std::shared_ptr<const CompiledDtd> shared;
   std::shared_ptr<const CompiledDtd> restored;
@@ -69,11 +69,11 @@ struct HeldArtifacts {
 HeldArtifacts Hold(const Dtd& d) {
   HeldArtifacts held;
   held.shared = CompiledDtd::Compile(d);
-  Result<std::shared_ptr<const CompiledDtd>> decoded =
-      store::DecodeCompiledDtdRecord(
-          store::EncodeCompiledDtdRecord(*held.shared));
+  Result<Dtd> decoded = store::DecodeSchemaRecord(
+      store::EncodeSchemaRecord(d, d.Fingerprint()));
   EXPECT_TRUE(decoded.ok()) << decoded.error() << "\n" << d.ToString();
-  held.restored = decoded.ok() ? decoded.value() : held.shared;
+  held.restored =
+      decoded.ok() ? CompiledDtd::Compile(decoded.value()) : held.shared;
   return held;
 }
 

@@ -1,15 +1,18 @@
-// Persistent compiled-artifact store (src/store/snapshot.h) and the engine's
+// Persistent snapshot store (src/store/snapshot.h) and the engine's
 // SaveSnapshot/LoadSnapshot on top of it. The robustness battery feeds the
 // loader every kind of damaged snapshot — truncated, CRC-flipped,
 // version-mismatched, fingerprint-forged — and asserts each degrades to a
 // counted skip, never a crash, never a trusted record.
 #include "src/store/snapshot.h"
 
+#include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -39,6 +42,20 @@ void WriteFile(const std::string& path, const std::string& data) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(data.data(), static_cast<std::streamsize>(data.size()));
   ASSERT_TRUE(out.good()) << path;
+}
+
+// Files in `path`'s directory whose names start with `path`'s name + ".tmp":
+// the temporaries a writer for `path` may leave behind.
+std::vector<std::string> LeftoverTemporaries(const std::string& path) {
+  const std::filesystem::path target(path);
+  const std::string prefix = target.filename().string() + ".tmp";
+  std::vector<std::string> found;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) == 0) found.push_back(name);
+  }
+  return found;
 }
 
 // The mid-size schema used throughout: attributes, stars, a disjunction (so
@@ -118,7 +135,7 @@ TEST(SnapshotFileTest, WriteReadRoundTrip) {
   store::SnapshotWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(
-      writer.Append(store::RecordTag::kCompiledDtd, "payload-one").ok());
+      writer.Append(store::RecordTag::kSchema, "payload-one").ok());
   ASSERT_TRUE(writer.Append(store::RecordTag::kMemoEntry, "").ok());
   ASSERT_TRUE(writer.Commit().ok());
 
@@ -129,7 +146,7 @@ TEST(SnapshotFileTest, WriteReadRoundTrip) {
   std::string payload;
   EXPECT_EQ(reader.Next(&tag, &payload),
             store::SnapshotReader::Outcome::kRecord);
-  EXPECT_EQ(tag, static_cast<uint8_t>(store::RecordTag::kCompiledDtd));
+  EXPECT_EQ(tag, static_cast<uint8_t>(store::RecordTag::kSchema));
   EXPECT_EQ(payload, "payload-one");
   EXPECT_EQ(reader.Next(&tag, &payload),
             store::SnapshotReader::Outcome::kRecord);
@@ -150,8 +167,57 @@ TEST(SnapshotFileTest, CommitIsAtomicViaRename) {
   }
   EXPECT_EQ(ReadFile(path), "previous contents");
   // And the temporary was removed.
-  std::ifstream tmp(path + ".tmp");
-  EXPECT_FALSE(tmp.good());
+  EXPECT_TRUE(LeftoverTemporaries(path).empty());
+  // A committed writer leaves no temporary either.
+  store::SnapshotWriter writer;
+  ASSERT_TRUE(writer.Open(path).ok());
+  ASSERT_TRUE(writer.Commit().ok());
+  EXPECT_TRUE(LeftoverTemporaries(path).empty());
+  std::remove(path.c_str());
+}
+
+// Two engines holding different schemas save to one path at the same time,
+// round after round. Each writer has its own temporary, so every save
+// succeeds and every committed file is one writer's whole snapshot: the
+// load reads it clean, with exactly one engine's schema and memo.
+TEST(SnapshotFileTest, ConcurrentSavesToOnePathEachCommitWholeFiles) {
+  const std::string path = TempPath("snap_concurrent.xpsnap");
+  SatEngine engines[2];
+  const Dtd schemas[2] = {MakeCatalogDtd(),
+                          ParseDtdOrDie("root r\nr -> D*\nD -> eps\n")};
+  for (int i = 0; i < 2; ++i) {
+    SatRequest r;
+    r.query = i == 0 ? "**/item" : "D";
+    r.dtd = engines[i].RegisterDtd(schemas[i]);
+    ASSERT_TRUE(engines[i].Run(r).status.ok());
+  }
+  for (int round = 0; round < 50; ++round) {
+    std::atomic<int> ready{0};
+    SnapshotSaveResult saved[2];
+    std::vector<std::thread> savers;
+    for (int i = 0; i < 2; ++i) {
+      savers.emplace_back([&, i] {
+        ready.fetch_add(1);
+        while (ready.load() < 2) {
+        }
+        saved[i] = engines[i].SaveSnapshot(path);
+      });
+    }
+    for (std::thread& t : savers) t.join();
+    for (int i = 0; i < 2; ++i) {
+      ASSERT_TRUE(saved[i].status.ok())
+          << "round " << round << ": " << saved[i].status.message();
+    }
+    SatEngine reader;
+    SnapshotLoadResult loaded = reader.LoadSnapshot(path);
+    ASSERT_TRUE(loaded.status.ok()) << "round " << round;
+    EXPECT_EQ(loaded.corrupt_records, 0u) << "round " << round;
+    EXPECT_EQ(loaded.rejected_records, 0u) << "round " << round;
+    EXPECT_FALSE(loaded.truncated) << "round " << round;
+    EXPECT_EQ(loaded.dtds_loaded, 1u) << "round " << round;
+    EXPECT_EQ(loaded.memos_loaded, 1u) << "round " << round;
+  }
+  EXPECT_TRUE(LeftoverTemporaries(path).empty());
   std::remove(path.c_str());
 }
 
@@ -177,18 +243,24 @@ TEST(SnapshotFileTest, NewerFormatVersionIsRejectedWithTheClaimedVersion) {
   store::SnapshotWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer.Commit().ok());
-  // Patch the version field (bytes 8..11, little-endian) to a future value.
-  std::string data = ReadFile(path);
-  ASSERT_GE(data.size(), 12u);
-  data[8] = 99;
-  data[9] = data[10] = data[11] = 0;
-  WriteFile(path, data);
+  const std::string current = ReadFile(path);
+  ASSERT_GE(current.size(), 12u);
+  // Patch the version field (bytes 8..11, little-endian) to a future value,
+  // and to v1, whose records carried compiled artifacts: a reader accepts
+  // its own version only.
+  for (uint32_t version : {99u, 1u}) {
+    std::string data = current;
+    data[8] = static_cast<char>(version);
+    data[9] = data[10] = data[11] = 0;
+    WriteFile(path, data);
 
-  store::SnapshotReader reader;
-  store::SnapshotOpenError err;
-  EXPECT_FALSE(reader.Open(path, &err));
-  EXPECT_EQ(err.kind, store::SnapshotOpenError::Kind::kBadVersion);
-  EXPECT_EQ(err.file_version, 99u);
+    store::SnapshotReader reader;
+    store::SnapshotOpenError err;
+    EXPECT_FALSE(reader.Open(path, &err)) << "v" << version;
+    EXPECT_EQ(err.kind, store::SnapshotOpenError::Kind::kBadVersion)
+        << "v" << version;
+    EXPECT_EQ(err.file_version, version);
+  }
   std::remove(path.c_str());
 }
 
@@ -270,65 +342,35 @@ TEST(SnapshotFileTest, AbsurdLengthFieldIsCorruptionNotAnAllocation) {
   std::remove(path.c_str());
 }
 
-// --- Artifact record codecs -----------------------------------------------
+// --- Record codecs --------------------------------------------------------
 
-void ExpectLabelGraphEq(const LabelGraph& a, const LabelGraph& b) {
-  EXPECT_EQ(a.terminating, b.terminating);
-  EXPECT_EQ(a.edges, b.edges);
-  EXPECT_EQ(a.closure, b.closure);
-}
-
-TEST(CompiledDtdRecordTest, RoundTripsEveryArtifact) {
+TEST(SchemaRecordTest, RoundTripsSchemaAndFingerprint) {
   Dtd dtd = MakeCatalogDtd();
-  std::shared_ptr<const CompiledDtd> compiled = CompiledDtd::Compile(dtd);
-  std::string payload = store::EncodeCompiledDtdRecord(*compiled);
-  Result<std::shared_ptr<const CompiledDtd>> decoded =
-      store::DecodeCompiledDtdRecord(payload);
+  Result<Dtd> decoded =
+      store::DecodeSchemaRecord(store::EncodeSchemaRecord(dtd, dtd.Fingerprint()));
   ASSERT_TRUE(decoded.ok()) << decoded.error();
-  const CompiledDtd& out = *decoded.value();
-
-  EXPECT_TRUE(out.dtd.EquivalentTo(compiled->dtd));
-  EXPECT_EQ(out.fingerprint, compiled->fingerprint);
-  EXPECT_EQ(out.disjunction_free, compiled->disjunction_free);
-  ASSERT_NE(out.shared_dtd, nullptr);
-  EXPECT_TRUE(out.shared_dtd->EquivalentTo(compiled->dtd));
-  ExpectLabelGraphEq(out.graph, compiled->graph);
-  ExpectLabelGraphEq(out.norm_graph, compiled->norm_graph);
-  EXPECT_EQ(out.min_sizes, compiled->min_sizes);
-  EXPECT_TRUE(out.norm.dtd.EquivalentTo(compiled->norm.dtd));
-  EXPECT_EQ(out.norm.new_types, compiled->norm.new_types);
-  ASSERT_EQ(out.content_nfas.size(), compiled->content_nfas.size());
-  for (const auto& kv : compiled->content_nfas) {
-    auto it = out.content_nfas.find(kv.first);
-    ASSERT_NE(it, out.content_nfas.end()) << kv.first;
-    EXPECT_EQ(it->second.num_states, kv.second.num_states);
-    EXPECT_EQ(it->second.start, kv.second.start);
-    EXPECT_EQ(it->second.accepting, kv.second.accepting);
-    EXPECT_EQ(it->second.trans, kv.second.trans);
-  }
+  EXPECT_TRUE(decoded.value().EquivalentTo(dtd));
+  EXPECT_EQ(decoded.value().Fingerprint(), dtd.Fingerprint());
 }
 
-TEST(CompiledDtdRecordTest, ForgedFingerprintIsRejected) {
+TEST(SchemaRecordTest, ForgedFingerprintIsRejected) {
+  // A well-formed record whose claimed key does not derive from its own
+  // schema: the decoder must reject it even though every CRC passes.
   Dtd dtd = MakeCatalogDtd();
-  std::shared_ptr<const CompiledDtd> compiled = CompiledDtd::Compile(dtd);
-  // A structurally valid record whose claimed key does not derive from its
-  // own schema: the decoder must reject it even though every CRC passes.
-  CompiledDtd forged = *compiled;
-  forged.fingerprint = compiled->fingerprint ^ 0x1;
-  Result<std::shared_ptr<const CompiledDtd>> decoded =
-      store::DecodeCompiledDtdRecord(store::EncodeCompiledDtdRecord(forged));
-  EXPECT_FALSE(decoded.ok());
+  EXPECT_FALSE(store::DecodeSchemaRecord(
+                   store::EncodeSchemaRecord(dtd, dtd.Fingerprint() ^ 0x1))
+                   .ok());
 }
 
-TEST(CompiledDtdRecordTest, TruncatedPayloadIsRejected) {
+TEST(SchemaRecordTest, TruncatedPayloadIsRejected) {
   Dtd dtd = MakeCatalogDtd();
-  std::string payload =
-      store::EncodeCompiledDtdRecord(*CompiledDtd::Compile(dtd));
+  std::string payload = store::EncodeSchemaRecord(dtd, dtd.Fingerprint());
   for (size_t cut : {payload.size() - 1, payload.size() / 2, size_t{3}}) {
-    Result<std::shared_ptr<const CompiledDtd>> decoded =
-        store::DecodeCompiledDtdRecord(payload.substr(0, cut));
-    EXPECT_FALSE(decoded.ok()) << "cut at " << cut;
+    EXPECT_FALSE(store::DecodeSchemaRecord(payload.substr(0, cut)).ok())
+        << "cut at " << cut;
   }
+  EXPECT_FALSE(store::DecodeSchemaRecord(payload + "x").ok())
+      << "trailing bytes";
 }
 
 TEST(MemoRecordTest, RoundTripsWithAndWithoutWitness) {
@@ -443,6 +485,58 @@ TEST(EngineSnapshotTest, SaveLoadRoundTripWarmsCachesAndMemo) {
   std::remove(path.c_str());
 }
 
+void ExpectLabelGraphEq(const LabelGraph& a, const LabelGraph& b) {
+  EXPECT_EQ(a.terminating, b.terminating);
+  EXPECT_EQ(a.edges, b.edges);
+  EXPECT_EQ(a.closure, b.closure);
+}
+
+// A snapshot carries no derived artifacts: what a warm engine serves after
+// a load is its own compile of the saved schema, equal field for field to a
+// fresh CompiledDtd::Compile, and registering the schema is a cache hit.
+TEST(EngineSnapshotTest, LoadedArtifactsEqualAFreshCompile) {
+  const std::string path = TempPath("snap_engine_artifacts.xpsnap");
+  Dtd dtd = MakeCatalogDtd();
+  {
+    SatEngine engine;
+    SatRequest r;
+    r.query = "**/item";
+    r.dtd = engine.RegisterDtd(dtd);
+    ASSERT_TRUE(engine.Run(r).status.ok());
+    ASSERT_TRUE(engine.SaveSnapshot(path).status.ok());
+  }
+  SatEngine engine;
+  ASSERT_TRUE(engine.LoadSnapshot(path).status.ok());
+  std::shared_ptr<const CompiledDtd> fresh = CompiledDtd::Compile(dtd);
+  std::shared_ptr<const CompiledDtd> loaded =
+      engine.RegisterDtd(dtd).compiled();
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(engine.stats().dtd_cache_hits, 1u);
+  EXPECT_EQ(engine.stats().dtd_cache_misses, 0u);
+
+  const CompiledDtd& out = *loaded;
+  EXPECT_TRUE(out.dtd.EquivalentTo(fresh->dtd));
+  EXPECT_EQ(out.fingerprint, fresh->fingerprint);
+  EXPECT_EQ(out.disjunction_free, fresh->disjunction_free);
+  ASSERT_NE(out.shared_dtd, nullptr);
+  EXPECT_TRUE(out.shared_dtd->EquivalentTo(fresh->dtd));
+  ExpectLabelGraphEq(out.graph, fresh->graph);
+  ExpectLabelGraphEq(out.norm_graph, fresh->norm_graph);
+  EXPECT_EQ(out.min_sizes, fresh->min_sizes);
+  EXPECT_TRUE(out.norm.dtd.EquivalentTo(fresh->norm.dtd));
+  EXPECT_EQ(out.norm.new_types, fresh->norm.new_types);
+  ASSERT_EQ(out.content_nfas.size(), fresh->content_nfas.size());
+  for (const auto& kv : fresh->content_nfas) {
+    auto it = out.content_nfas.find(kv.first);
+    ASSERT_NE(it, out.content_nfas.end()) << kv.first;
+    EXPECT_EQ(it->second.num_states, kv.second.num_states);
+    EXPECT_EQ(it->second.start, kv.second.start);
+    EXPECT_EQ(it->second.accepting, kv.second.accepting);
+    EXPECT_EQ(it->second.trans, kv.second.trans);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(EngineSnapshotTest, LoadDegradesOnDamageWithCounters) {
   const std::string path = TempPath("snap_engine_damaged.xpsnap");
   Dtd dtd = MakeCatalogDtd();
@@ -455,8 +549,8 @@ TEST(EngineSnapshotTest, LoadDegradesOnDamageWithCounters) {
     ASSERT_TRUE(engine.Run(r).status.ok());
     ASSERT_TRUE(engine.SaveSnapshot(path).status.ok());
   }
-  // Flip a byte inside the first record (the lone DTD record): the DTD is
-  // lost, and the memo that depends on it must then be rejected — a memo
+  // Flip a byte inside the first record (the lone schema record): the DTD
+  // is lost, and the memo that depends on it must then be rejected — a memo
   // never attaches to a schema that did not verify from the same file.
   std::string data = ReadFile(path);
   data[12 + 5] ^= 0x01;
@@ -507,21 +601,20 @@ TEST(EngineSnapshotTest, LoadRejectsNewerVersionAndStartsCold) {
 TEST(EngineSnapshotTest, LoadRejectsForgedFingerprintRecords) {
   const std::string path = TempPath("snap_engine_forged.xpsnap");
   Dtd dtd = MakeCatalogDtd();
-  std::shared_ptr<const CompiledDtd> compiled = CompiledDtd::Compile(dtd);
-  CompiledDtd forged = *compiled;
-  forged.fingerprint = compiled->fingerprint ^ 0xF00D;
-  // Hand-write a snapshot holding the forged DTD record plus a memo claiming
-  // the forged fingerprint: both must be rejected (the memo's fingerprint
-  // resolves to no VERIFIED schema), and nothing reaches the caches.
+  const uint64_t forged = dtd.Fingerprint() ^ 0xF00D;
+  // Hand-write a snapshot holding the forged schema record plus a memo
+  // claiming the forged fingerprint: both must be rejected (the memo's
+  // fingerprint resolves to no VERIFIED schema), and nothing reaches the
+  // caches.
   store::SnapshotWriter writer;
   ASSERT_TRUE(writer.Open(path).ok());
   ASSERT_TRUE(writer
-                  .Append(store::RecordTag::kCompiledDtd,
-                          store::EncodeCompiledDtdRecord(forged))
+                  .Append(store::RecordTag::kSchema,
+                          store::EncodeSchemaRecord(dtd, forged))
                   .ok());
   store::MemoRecord memo;
   memo.canonical_query = "**/item";
-  memo.dtd_fingerprint = forged.fingerprint;
+  memo.dtd_fingerprint = forged;
   memo.algorithm = "forged";
   memo.verdict = SatVerdict::kSat;
   ASSERT_TRUE(writer
@@ -586,8 +679,8 @@ TEST(EngineSnapshotTest, MemoDisabledEngineLoadsSchemasOnly) {
 }
 
 // A memo entry pins only its schema's source Dtd. When the artifacts have
-// left the DTD cache, save compiles the schema again so the memo record
-// still has a verified schema in the same file, then releases it.
+// left the DTD cache, save writes that Dtd, so the memo record still has a
+// verified schema in the same file, and compiles nothing.
 TEST(EngineSnapshotTest, MemoWhoseSchemaWasEvictedStillRoundTrips) {
   const std::string path = TempPath("snap_engine_evicted_memo.xpsnap");
   Dtd a = MakeCatalogDtd();
@@ -610,9 +703,9 @@ TEST(EngineSnapshotTest, MemoWhoseSchemaWasEvictedStillRoundTrips) {
 
     SnapshotSaveResult saved = engine.SaveSnapshot(path);
     ASSERT_TRUE(saved.status.ok()) << saved.status.message();
-    EXPECT_EQ(saved.dtds_saved, 2u);  // B resident, A compiled for its memo
+    EXPECT_EQ(saved.dtds_saved, 2u);  // B resident, A pinned by its memo
     EXPECT_EQ(saved.memos_saved, 2u);
-    EXPECT_EQ(engine.live_compiled_artifacts(), 1u) << "save released A";
+    EXPECT_EQ(engine.live_compiled_artifacts(), 1u) << "save compiled A";
   }
   SatEngine engine;
   SnapshotLoadResult loaded = engine.LoadSnapshot(path);

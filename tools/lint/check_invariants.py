@@ -33,7 +33,11 @@ Rules (ids are stable; failures print one machine-readable line each):
                   src/store/snapshot.h has a matching changelog row
                   (`| v<N> |`) in the README "Persistence" section — a
                   format bump without documented migration notes is how
-                  operators get surprised by `err store-version`.
+                  operators get surprised by `err store-version`. And the
+                  format stays independent of the compiled-artifact layout:
+                  no file under src/store/ includes src/sat/compiled_dtd.h
+                  or anything under src/automata/ (a snapshot holds schemas
+                  and verdicts; the loader recompiles the artifacts).
   client-sync     every protocol verb (src/server/protocol.cc VerbName
                   switch) appears in src/client/'s kKnownVerbs array, and
                   every err slug emitted under src/server/ appears in its
@@ -289,34 +293,52 @@ def rule_err_slug_doc(root):
 
 SNAPSHOT_VERSION = re.compile(
     r"\bkSnapshotFormatVersion\s*=\s*(\d+)\s*;")
+ARTIFACT_INCLUDE = re.compile(
+    r'^[ \t]*#[ \t]*include[ \t]*[<"]'
+    r'(src/sat/compiled_dtd\.h|src/automata/[^">]*)[">]',
+    re.MULTILINE)
 
 
 def rule_store_version(root):
     """The on-disk format version must have a README changelog row: bumping
     kSnapshotFormatVersion invalidates every deployed snapshot (old readers
-    reject newer files), so the bump and its migration notes land together."""
+    reject newer files), so the bump and its migration notes land together.
+    The store must also not see the compiled-artifact layout: artifacts are
+    recompiled from the schema on load, so CompiledDtd's representation can
+    change without touching the on-disk format."""
+    findings = []
+    for path in source_files(root, [os.path.join("src", "store")]):
+        text = strip_comments(read(path))
+        for m in ARTIFACT_INCLUDE.finditer(text):
+            findings.append((
+                rel(root, path),
+                "line %d: src/store/ includes %s — the snapshot format must "
+                "not depend on the compiled-artifact layout; persist the "
+                "schema and recompile on load"
+                % (line_of(text, m.start()), m.group(1))))
     snapshot_h = os.path.join(root, "src", "store", "snapshot.h")
     if not os.path.isfile(snapshot_h):
-        return []  # no artifact store in this tree; nothing to tie together
+        return findings  # no snapshot store in this tree
     m = SNAPSHOT_VERSION.search(strip_comments(read(snapshot_h)))
     if not m:
-        return [(rel(root, snapshot_h),
-                 "kSnapshotFormatVersion not found "
-                 "(extraction pattern broke?)")]
+        return findings + [(rel(root, snapshot_h),
+                            "kSnapshotFormatVersion not found "
+                            "(extraction pattern broke?)")]
     version = int(m.group(1))
     readme_path = os.path.join(root, "README.md")
     if not os.path.isfile(readme_path):
-        return [("README.md", "missing (required by store-version rule)")]
+        return findings + [("README.md",
+                            "missing (required by store-version rule)")]
     row = re.compile(r"^\|\s*v" + str(version) + r"\s*\|", re.MULTILINE)
     if not row.search(read(readme_path)):
-        return [("README.md",
-                 "snapshot format version %d (kSnapshotFormatVersion, "
-                 "src/store/snapshot.h) has no changelog row in the README "
-                 "Persistence section — add a '| v%d | ... |' row describing "
-                 "the format (and what invalidated older snapshots) in the "
-                 "same change that bumps the constant"
-                 % (version, version))]
-    return []
+        findings.append((
+            "README.md",
+            "snapshot format version %d (kSnapshotFormatVersion, "
+            "src/store/snapshot.h) has no changelog row in the README "
+            "Persistence section — add a '| v%d | ... |' row describing "
+            "the format (and what invalidated older snapshots) in the "
+            "same change that bumps the constant" % (version, version)))
+    return findings
 
 
 def extract_c_string_array(text, array_name):

@@ -24,7 +24,7 @@
 //   --metrics-dump-ms M  dump the merged metrics JSON (the `metrics` verb's
 //                        object) to stderr every M ms, one line per dump
 //   --warm-from PATH     before listening, warm the engine caches from the
-//                        compiled-artifact snapshot at PATH (src/store/).
+//                        schema-and-memo snapshot at PATH (src/store/).
 //                        A missing, corrupt, or version-incompatible
 //                        snapshot logs a warning and starts cold — warm
 //                        restart is an optimization, never a dependency
