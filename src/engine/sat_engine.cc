@@ -1,6 +1,7 @@
 #include "src/engine/sat_engine.h"
 
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -13,64 +14,73 @@ namespace xpathsat {
 
 namespace engine_internal {
 
-// Shared state of one submitted request. The promise is fulfilled exactly
-// once, by whichever side wins the job's queued->{running,cancelled} CAS:
-// the worker (with the computed response), the deadline reaper, or a
-// TryCancel caller. All three go through Fulfill so completion callbacks
-// fire on every path.
+// The one record of a submitted request, shared by its tickets, its pool
+// job and its deadline entry. The phase runs queued -> running -> done under
+// `mu`: Claim is the queued -> running step, and whoever takes it — the
+// worker about to execute, a TryCancel caller, or the deadline reaper — is
+// the one that fulfils. Fulfill is the running -> done step; it stores the
+// response and takes the pending callbacks in the same critical section, so
+// an OnComplete either lands in that list or sees kDone and runs inline —
+// never both, never neither.
 struct TicketState {
-  uint64_t id = 0;
-  std::promise<SatResponse> promise;
-  std::shared_ptr<CancellableJob> job;
-  // The ticket's own view of the promise, so callbacks registered after
-  // completion can read the response without holding a SatTicket.
-  std::shared_future<SatResponse> future;
+  enum class Phase { kQueued, kRunning, kDone };
+  using Callback = std::function<void(const SatResponse&)>;
 
-  // Completion callbacks, run in registration order. `fulfilled` flips
-  // under cb_mu strictly BEFORE set_value (see Fulfill for why); a
-  // registration that observes fulfilled == true reads future.get(),
-  // blocking at most for the flip->set_value instant.
-  util::Mutex cb_mu;
-  bool fulfilled GUARDED_BY(cb_mu) = false;
-  std::vector<std::function<void(const SatResponse&)>> callbacks
-      GUARDED_BY(cb_mu);
+  TicketState(uint64_t ticket_id, SatRequest queued)
+      : id(ticket_id), request(std::move(queued)) {}
 
-  // The single fulfilment point: drains the registered callbacks, resolves
-  // the promise, then runs the drained callbacks on the calling thread.
-  // `fulfilled` flips BEFORE set_value: once a caller has observed the
-  // ticket complete (Get/Ready/WaitFor returned), any later OnComplete is
-  // guaranteed to see fulfilled == true and run inline — flipping after
-  // set_value would leave a window where such a registration lands in the
-  // list and runs on this thread instead, racing the caller. A registration
-  // that sees fulfilled == true in the flip->set_value window merely blocks
-  // in future.get() for the instant until the value lands. Pending
-  // callbacks are moved out under cb_mu before running so a callback that
-  // registers another callback never deadlocks.
-  void Fulfill(SatResponse response) {
-    std::vector<std::function<void(const SatResponse&)>> ready;
+  const uint64_t id;
+  util::Mutex mu;
+  util::CondVar done_cv;
+  Phase phase GUARDED_BY(mu) = Phase::kQueued;
+  // Held here while queued and handed to the claimant, so a revoked request
+  // releases its DtdHandle pin before its completion is observable.
+  SatRequest request GUARDED_BY(mu);
+  // Written once, by Fulfill; never changes after phase reads kDone, so a
+  // reference taken under `mu` at kDone stays valid without the lock for as
+  // long as the record lives.
+  SatResponse response GUARDED_BY(mu);
+  std::vector<Callback> callbacks GUARDED_BY(mu);
+
+  bool done() const REQUIRES(mu) { return phase == Phase::kDone; }
+
+  // queued -> running. Returns the request iff this call won; every later
+  // Claim returns nullopt.
+  std::optional<SatRequest> Claim() {
+    util::MutexLock lock(mu);
+    if (phase != Phase::kQueued) return std::nullopt;
+    phase = Phase::kRunning;
+    return std::move(request);
+  }
+
+  // running -> done: stores the response, wakes the waiters, then runs the
+  // callbacks registered so far on this thread, in registration order. They
+  // run outside `mu`, so a callback may register another (it runs inline).
+  void Fulfill(SatResponse r) {
+    std::vector<Callback> ready;
+    const SatResponse* stored = nullptr;
     {
-      util::MutexLock lock(cb_mu);
-      fulfilled = true;
+      util::MutexLock lock(mu);
+      response = std::move(r);
+      phase = Phase::kDone;
       ready.swap(callbacks);
+      stored = &response;
     }
-    promise.set_value(std::move(response));
-    if (!ready.empty()) {
-      const SatResponse& r = future.get();
-      for (auto& cb : ready) cb(r);
-    }
+    done_cv.NotifyAll();
+    for (Callback& cb : ready) cb(*stored);
   }
 };
 
-// Control block behind a DtdHandle: pins the compiled artifacts and retires
-// the registration (decrements the engine's live-handle gauge) when the last
-// handle copy is released. The gauge is held through a shared_ptr so release
-// stays safe even after the issuing engine is destroyed.
+// Control block behind a DtdHandle: pins the compiled artifacts and leaves
+// the live_dtd_handles gauge when the last handle copy is released. The
+// gauge is held through the shared registry, so that release stays safe
+// even after the issuing engine is destroyed.
 struct DtdPin {
   std::shared_ptr<const CompiledDtd> compiled;
   uint64_t id = 0;
-  std::shared_ptr<std::atomic<uint64_t>> live_handles;
+  std::shared_ptr<obs::Gauge> live;
   ~DtdPin() {
-    if (live_handles) live_handles->fetch_sub(1, std::memory_order_relaxed);
+    if (live) live->Add(-1);
   }
 };
 
@@ -150,17 +160,38 @@ std::shared_ptr<const CompiledDtd> DtdHandle::compiled() const {
   return pin_ ? pin_->compiled : nullptr;
 }
 
+SatResponse SatTicket::Get() const {
+  util::MutexLock lock(state_->mu);
+  while (!state_->done()) state_->done_cv.Wait(state_->mu);
+  return state_->response;
+}
+
+bool SatTicket::Ready() const {
+  util::MutexLock lock(state_->mu);
+  return state_->done();
+}
+
+bool SatTicket::WaitFor(int64_t timeout_ms) const {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(timeout_ms);
+  util::MutexLock lock(state_->mu);
+  while (!state_->done()) {
+    if (!state_->done_cv.WaitUntil(state_->mu, deadline)) return state_->done();
+  }
+  return true;
+}
+
 void SatTicket::OnComplete(std::function<void(const SatResponse&)> cb) const {
+  const SatResponse* stored = nullptr;
   {
-    util::MutexLock lock(state_->cb_mu);
-    if (!state_->fulfilled) {
+    util::MutexLock lock(state_->mu);
+    if (!state_->done()) {
       state_->callbacks.push_back(std::move(cb));
       return;
     }
+    stored = &state_->response;
   }
-  // Already fulfilled (or mid-fulfilment): get() returns the response,
-  // blocking at most for the fulfilled->set_value instant.
-  cb(future_.get());
+  cb(*stored);
 }
 
 namespace {
@@ -215,8 +246,8 @@ SatEngine::SatEngine(const SatEngineOptions& options)
                                options_.rewrite_cache_capacity,
                                resolved_shards_)
                          : nullptr),
-      live_handles_(std::make_shared<std::atomic<uint64_t>>(0)),
       metrics_(std::make_shared<obs::MetricsRegistry>()),
+      live_handles_(metrics_, metrics_->gauge("live_dtd_handles")),
       live_artifacts_(metrics_, metrics_->gauge("live_compiled_artifacts")),
       slow_log_(kSlowLogCapacity),
       start_time_(Clock::now()),
@@ -247,7 +278,7 @@ SatEngine::~SatEngine() {
   reaper_cv_.NotifyAll();
   if (reaper_.joinable()) reaper_.join();
   // pool_ is destroyed next (it is the last member): queued jobs drain and
-  // fulfil their promises while the caches are still alive. Deadlines no
+  // fulfil their tickets while the caches are still alive. Deadlines no
   // longer fire during the drain — shutdown runs work instead of expiring
   // it.
 }
@@ -319,8 +350,8 @@ DtdHandle SatEngine::RegisterDtd(const Dtd& dtd) {
   auto pin = std::make_shared<engine_internal::DtdPin>();
   pin->compiled = std::move(compiled);
   pin->id = next_handle_id_.fetch_add(1, std::memory_order_relaxed);
-  pin->live_handles = live_handles_;
-  live_handles_->fetch_add(1, std::memory_order_relaxed);
+  pin->live = live_handles_;
+  live_handles_->Add(1);
   return DtdHandle(std::move(pin));
 }
 
@@ -513,46 +544,38 @@ SatResponse SatEngine::Execute(const SatRequest& request,
 
 SatTicket SatEngine::Submit(SatRequest request) {
   Count<&SatEngineStats::requests>();
-  auto state = std::make_shared<engine_internal::TicketState>();
-  state->id = next_ticket_id_.fetch_add(1, std::memory_order_relaxed);
-  state->job = std::make_shared<CancellableJob>();
-
-  state->future = state->promise.get_future().share();
+  const int64_t deadline_ms = request.deadline_ms;
+  auto state = std::make_shared<engine_internal::TicketState>(
+      next_ticket_id_.fetch_add(1, std::memory_order_relaxed),
+      std::move(request));
 
   SatTicket ticket;
   ticket.id_ = state->id;
-  ticket.future_ = state->future;
   ticket.state_ = state;
 
   const Clock::time_point submitted = Clock::now();
-  const int64_t deadline_ms = request.deadline_ms;
-  // The control block is fully published in the ticket state before the job
-  // can possibly start — Submit, TryCancel, and the reaper all go through
-  // the same CAS arbitration.
-  pool_.SubmitCancellable(
-      state->job, [this, state, request = std::move(request),
-                   submitted]() mutable {
-        // The promise is always fulfilled: an exception escaping a pool job
-        // would std::terminate the process (and break every ticket copy),
-        // so decider failures surface as error responses instead.
-        SatResponse resp;
-        try {
-          resp = Execute(request, submitted, state->id);
-        } catch (const std::exception& e) {
-          resp = SatResponse();
-          resp.status =
-              Status::Error(std::string("internal error: ") + e.what());
-        } catch (...) {
-          resp = SatResponse();
-          resp.status = Status::Error("internal error");
-        }
-        // Drop the worker's request copy (and its DtdHandle pin) before
-        // fulfilment: a caller that observes Get() returning must also
-        // observe live_dtd_handles() without this job's pin, otherwise the
-        // gauge transiently overcounts until the pool discards the closure.
-        request = SatRequest();
-        state->Fulfill(std::move(resp));
-      });
+  pool_.Submit([this, state, submitted] {
+    std::optional<SatRequest> request = state->Claim();
+    if (!request.has_value()) return;  // revoked while queued
+    // The ticket is always fulfilled: an exception escaping a pool job
+    // would std::terminate the process (and strand every waiter), so
+    // decider failures surface as error responses instead.
+    SatResponse resp;
+    try {
+      resp = Execute(*request, submitted, state->id);
+    } catch (const std::exception& e) {
+      resp = SatResponse();
+      resp.status = Status::Error(std::string("internal error: ") + e.what());
+    } catch (...) {
+      resp = SatResponse();
+      resp.status = Status::Error("internal error");
+    }
+    // Drop the worker's request copy (and its DtdHandle pin) before
+    // fulfilment: a caller that observes Get() returning must also observe
+    // live_dtd_handles() without this job's pin.
+    request.reset();
+    state->Fulfill(std::move(resp));
+  });
   if (deadline_ms > 0) {
     {
       util::MutexLock lock(reaper_mu_);
@@ -565,8 +588,8 @@ SatTicket SatEngine::Submit(SatRequest request) {
 }
 
 bool SatEngine::TryCancel(const SatTicket& ticket) {
-  if (!ticket.valid()) return false;
-  if (!ticket.state_->job->TryCancel()) return false;
+  // The claimed request (and its pin) dies with the full expression.
+  if (!ticket.valid() || !ticket.state_->Claim().has_value()) return false;
   Count<&SatEngineStats::cancellations>();
   // Never-executed fulfilments bump their route counter but no phase
   // histograms — the request has no spans to speak of.
@@ -600,8 +623,8 @@ void SatEngine::ReaperLoop() {
         break;
       }
     }
-    // Outside the lock: Submit must never block behind promise fulfilment.
-    if (expired->job->TryCancel()) {
+    // Outside the lock: Submit must never block behind a fulfilment.
+    if (expired->Claim().has_value()) {
       Count<&SatEngineStats::deadline_expirations>();
       route_counters_.Increment("deadline");
       expired->Fulfill(NotRunResponse(
@@ -814,7 +837,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
 }
 
 uint64_t SatEngine::live_dtd_handles() const {
-  return live_handles_->load(std::memory_order_relaxed);
+  return static_cast<uint64_t>(live_handles_->value());
 }
 
 uint64_t SatEngine::live_compiled_artifacts() const {
@@ -826,7 +849,7 @@ SatEngineStats SatEngine::stats() const {
   // walked backwards, so the per-request *outcome* counters load first and
   // `requests` (row 0) last, all acquire loads against release increments.
   // A request's `requests` bump happens-before its outcome bump (Submit
-  // enqueues through the pool's queue lock before the worker runs), so any
+  // publishes the ticket record before any claimant can reach it), so any
   // outcome this snapshot observes has its request already counted by the
   // later `requests` load — the documented <= invariants hold for every
   // snapshot, mid-flight included.

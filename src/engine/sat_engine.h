@@ -14,15 +14,20 @@
 //     normal form) while any copy is live — requests carry handles, so there
 //     is no borrowed-pointer outlive-the-call contract anywhere in the API.
 //   * Submit(request) -> SatTicket: enqueues the request on the pool and
-//     returns immediately with a stable request id plus a future for the
-//     response. TryCancel revokes still-queued tickets, and a deadline
-//     reaper thread cancels queued work the moment its deadline expires
-//     (work that started in time runs to completion). Run and RunBatch are
-//     thin wrappers over Submit — there is exactly one execution path.
-//     Reactive callers use SatTicket::OnComplete (a callback fired on every
-//     fulfilment path: computed, cancelled, expired) instead of one blocking
-//     Get per ticket — this is what the socket server (src/server/)
-//     pipelines out-of-order responses with.
+//     returns immediately with a stable request id. The ticket is a handle
+//     on ONE record per request (engine_internal::TicketState): a mutex, a
+//     condvar, a phase (queued -> running -> done), the response slot and
+//     the completion callbacks. A worker starting the request, a TryCancel
+//     and the deadline reaper all claim it by the same queued -> running
+//     step under that mutex, so exactly one of them fulfils it; TryCancel
+//     revokes still-queued tickets, and the reaper cancels queued work the
+//     moment its deadline expires (work that started in time runs to
+//     completion). Run and RunBatch are thin wrappers over Submit — there
+//     is exactly one execution path. Reactive callers use
+//     SatTicket::OnComplete (a callback fired on every fulfilment path:
+//     computed, cancelled, expired) instead of one blocking Get per ticket
+//     — this is what the socket server (src/server/) pipelines
+//     out-of-order responses with.
 //   * Verdict memoization: a sharded LRU cache keyed by (canonical query
 //     printing, DTD fingerprint, SatOptions::Digest()) sitting above the
 //     artifact caches; a repeat request returns the memoized SatReport
@@ -56,7 +61,6 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
-#include <future>
 #include <memory>
 #include <queue>
 #include <string>
@@ -188,10 +192,10 @@ struct SatResponse {
   obs::RequestTrace trace;
 };
 
-/// Handle to a submitted request: a stable id plus a future for the
-/// response. Copyable; all copies observe the same response. A
-/// default-constructed ticket is invalid (Get/Wait/OnComplete must not be
-/// called).
+/// Handle to a submitted request: a stable id plus a shared reference to the
+/// request's ticket record, which holds the response once it is done.
+/// Copyable; all copies observe the same response. A default-constructed
+/// ticket is invalid (Get/Ready/WaitFor/OnComplete must not be called).
 class SatTicket {
  public:
   SatTicket() = default;
@@ -201,17 +205,11 @@ class SatTicket {
   uint64_t id() const { return id_; }
 
   /// Blocks until the response is ready and returns it. Repeatable.
-  SatResponse Get() const { return future_.get(); }
+  SatResponse Get() const;
   /// True when the response is ready (Get will not block).
-  bool Ready() const {
-    return future_.wait_for(std::chrono::seconds(0)) ==
-           std::future_status::ready;
-  }
+  bool Ready() const;
   /// Waits up to `timeout_ms`; returns whether the response became ready.
-  bool WaitFor(int64_t timeout_ms) const {
-    return future_.wait_for(std::chrono::milliseconds(timeout_ms)) ==
-           std::future_status::ready;
-  }
+  bool WaitFor(int64_t timeout_ms) const;
 
   /// Registers `cb` to run exactly once with the response. If the ticket is
   /// already complete, `cb` runs inline on the calling thread; otherwise it
@@ -227,7 +225,6 @@ class SatTicket {
  private:
   friend class SatEngine;
   uint64_t id_ = 0;
-  std::shared_future<SatResponse> future_;
   std::shared_ptr<engine_internal::TicketState> state_;
 };
 
@@ -278,7 +275,7 @@ struct SnapshotLoadResult {
 /// the two gauges is a kSatEngineCounters row, an obs::Counter in the
 /// engine's MetricsRegistry named after the field, so `stats`, `health` and
 /// `metrics` read the same cells and agree by construction (as they do for
-/// the live_compiled_artifacts gauge).
+/// the two gauges, which are registry Gauges).
 ///
 /// Snapshot consistency: stats() is not one atomic snapshot (counters are
 /// independent atomics updated lock-free on the hot path), but it is more
@@ -458,9 +455,9 @@ class SatEngine {
   /// (request_queue_ns, request_parse_ns, request_rewrite_ns,
   /// request_decide_ns, request_total_ns, dtd_compile_ns), the
   /// slow_requests counter, one counter per kSatEngineCounters row and the
-  /// live_compiled_artifacts gauge (the cells stats() reads). Mutated
-  /// lock-free by the request path; render with obs::RenderMetricsJson /
-  /// RenderMetricsProm.
+  /// live_dtd_handles and live_compiled_artifacts gauges (the cells stats()
+  /// reads). Mutated lock-free by the request path; render with
+  /// obs::RenderMetricsJson / RenderMetricsProm.
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
   /// Per-dispatch-route fulfilment counters: one increment per completed
   /// request, keyed by SatReport::algorithm (the Sec. 8 dispatch cell) or a
@@ -578,19 +575,18 @@ class SatEngine {
   // DecideSatisfiability; null when rewrite_cache_capacity == 0.
   std::unique_ptr<RewriteCache> rewrite_cache_;
 
-  // Live-handle registry: shared with every DtdPin so handle release can
-  // retire its registration even after the engine is gone.
-  std::shared_ptr<std::atomic<uint64_t>> live_handles_;
   std::atomic<uint64_t> next_handle_id_{1};
   std::atomic<uint64_t> next_ticket_id_{1};
 
   // Observability: the counters and histograms are resolved once in the
   // constructor (registry lookups are mutex-guarded) and mutated lock-free
   // by the request path. counters_[i] is the kSatEngineCounters[i] cell.
-  // The registry is shared: live_artifacts_ aliases its
-  // live_compiled_artifacts gauge, and every tracked artifact holds a copy,
-  // so an artifact released after the engine is gone still finds its cell.
+  // The registry is shared: live_handles_ and live_artifacts_ alias its
+  // live_dtd_handles and live_compiled_artifacts gauges, and every DtdPin
+  // and tracked artifact holds a copy, so a handle or artifact released
+  // after the engine is gone still finds its cell.
   std::shared_ptr<obs::MetricsRegistry> metrics_;
+  std::shared_ptr<obs::Gauge> live_handles_;
   std::shared_ptr<obs::Gauge> live_artifacts_;
   obs::Counter* counters_[kNumSatEngineCounters] = {};
   obs::RouteCounters route_counters_;
@@ -608,7 +604,7 @@ class SatEngine {
   mutable std::atomic<uint64_t> snapshot_seq_{0};
 
   // Deadline reaper: min-heap of (expiry, ticket) drained by a dedicated
-  // thread that TryCancels expired still-queued work. Entries hold weak
+  // thread that revokes expired still-queued work. Entries hold weak
   // references: a request that completes (and whose ticket holders let go)
   // frees its state immediately instead of staying pinned in the heap until
   // its wall-clock expiry.

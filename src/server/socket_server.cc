@@ -167,22 +167,9 @@ Status SocketServer::Start() {
 
   // Session workers run HandleLine (parse + submit + acks); the engine's
   // own pool does the deciding.
-  const int workers = std::min(
-      8, std::max(2, static_cast<int>(std::thread::hardware_concurrency())));
-  // Each connection holds at most one queue token, so this capacity can
-  // only fill when every live connection needs service at once — the
-  // blocking Push is then genuine backpressure on the reactor.
-  const size_t queue_cap =
-      (options_.max_connections > 0 ? options_.max_connections
-                                    : static_cast<size_t>(1) << 16) +
-      static_cast<size_t>(workers) + 16;
-  work_queue_.reset(new BoundedQueue<std::shared_ptr<Connection>>(queue_cap));
-
+  session_pool_ = std::make_unique<ThreadPool>(std::min(
+      8, std::max(2, static_cast<int>(std::thread::hardware_concurrency()))));
   reactor_thread_ = std::thread([this] { ReactorLoop(); });
-  worker_threads_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    worker_threads_.emplace_back([this] { WorkerLoop(); });
-  }
   return Status::Ok();
 }
 
@@ -206,10 +193,9 @@ void SocketServer::Stop() {
   Wake();
   reactor_thread_.join();
   // The reactor exits only once every connection is retired (sessions
-  // drained by the workers), so the queue holds at most stale tokens.
-  work_queue_->Close();
-  for (std::thread& w : worker_threads_) w.join();
-  worker_threads_.clear();
+  // drained by the workers), so the pool holds at most stale jobs; its
+  // destructor runs them and joins the workers.
+  session_pool_.reset();
   listeners_.clear();
   if (unix_bound_) ::unlink(options_.unix_path.c_str());
 }
@@ -537,9 +523,18 @@ void SocketServer::ReadReady(const std::shared_ptr<Connection>& conn) {
 void SocketServer::ScheduleLocked(const std::shared_ptr<Connection>& conn) {
   if (conn->scheduled || conn->torn_down) return;
   conn->scheduled = true;
-  conn->enqueued_at_ns.store(NowNs(), std::memory_order_relaxed);
+  Enqueue(conn);
+}
+
+// Hands `conn`'s token to a session worker; the job stamps the queue wait.
+void SocketServer::Enqueue(const std::shared_ptr<Connection>& conn) {
   queue_depth_->Add(1);
-  work_queue_->Push(conn);
+  session_pool_->Submit([this, conn, enqueued_ns = NowNs()] {
+    queue_depth_->Add(-1);
+    queue_wait_hist_->Record(
+        static_cast<uint64_t>(std::max<int64_t>(0, NowNs() - enqueued_ns)));
+    ProcessConnection(conn);
+  });
 }
 
 void SocketServer::CloseInput(const std::shared_ptr<Connection>& conn,
@@ -627,21 +622,6 @@ void SocketServer::AdvanceWheel(int64_t now_ms) {
 
 // --- Workers --------------------------------------------------------------
 
-void SocketServer::WorkerLoop() {
-  std::shared_ptr<Connection> conn;
-  while (work_queue_->Pop(&conn)) {
-    queue_depth_->Add(-1);
-    const int64_t enqueued_ns =
-        conn->enqueued_at_ns.load(std::memory_order_relaxed);
-    if (enqueued_ns != 0) {
-      queue_wait_hist_->Record(
-          static_cast<uint64_t>(std::max<int64_t>(0, NowNs() - enqueued_ns)));
-    }
-    ProcessConnection(conn);
-    conn.reset();
-  }
-}
-
 void SocketServer::ProcessConnection(const std::shared_ptr<Connection>& conn) {
   std::deque<Connection::PendingLine> batch;
   bool input_closed;
@@ -698,9 +678,7 @@ void SocketServer::ProcessConnection(const std::shared_ptr<Connection>& conn) {
       // scheduled stays true: nothing may re-enqueue mid-teardown.
     } else if (!conn->pending.empty()) {
       // More lines arrived while this batch ran: keep the token.
-      conn->enqueued_at_ns.store(NowNs(), std::memory_order_relaxed);
-      queue_depth_->Add(1);
-      work_queue_->Push(conn);
+      Enqueue(conn);
       return;
     } else {
       conn->scheduled = false;

@@ -10,13 +10,13 @@
 // Concurrency model: a single REACTOR thread owns readiness and framing —
 // an epoll (poll(2) fallback) event loop that accepts, reads nonblockingly,
 // decodes lines, enforces the idle-timeout timer wheel, the connection cap,
-// and per-IP accept throttling. Decoded lines are handed to a fixed worker
-// pool through a bounded queue (one token per connection needing service,
-// so per-connection line order is preserved and a connection is never
-// handled by two workers at once). Result lines are NOT written by either —
-// they are pipelined out of order by the engine threads that complete each
-// ticket, through the session's completion callbacks, serialized per
-// connection by a write mutex.
+// and per-IP accept throttling. Decoded lines are handed to a fixed session
+// ThreadPool as one job per connection needing service (a connection holds
+// at most one outstanding job, so per-connection line order is preserved
+// and a connection is never handled by two workers at once). Result lines
+// are NOT written by either — they are pipelined out of order by the engine
+// threads that complete each ticket, through the session's completion
+// callbacks, serialized per connection by a write mutex.
 //
 // This is what makes 10k idle connections on one process possible: an idle
 // connection costs one fd and a timer-wheel slot, not a thread.
@@ -42,11 +42,11 @@
 #include "src/obs/metrics.h"
 #include "src/server/protocol.h"
 #include "src/server/session.h"
-#include "src/util/bounded_queue.h"
 #include "src/util/mutex.h"
 #include "src/util/net.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
+#include "src/util/thread_pool.h"
 
 namespace xpathsat {
 namespace server {
@@ -203,14 +203,10 @@ class SocketServer {
       uint64_t decode_ns = 0;
     };
 
-    // When the connection's current worker-queue token was pushed; read by
-    // the popping worker to record the queue-wait histogram.
-    std::atomic<int64_t> enqueued_at_ns{0};
-
     util::Mutex work_mu;
     std::deque<PendingLine> pending GUARDED_BY(work_mu);
     size_t pending_bytes GUARDED_BY(work_mu) = 0;
-    // a queue token exists or a worker is active
+    // a session job is queued or running
     bool scheduled GUARDED_BY(work_mu) = false;
     // the reactor will feed no more lines
     bool input_closed GUARDED_BY(work_mu) = false;
@@ -245,6 +241,7 @@ class SocketServer {
   void CloseInput(const std::shared_ptr<Connection>& conn, bool timed_out);
   void ScheduleLocked(const std::shared_ptr<Connection>& conn)
       REQUIRES(conn->work_mu);
+  void Enqueue(const std::shared_ptr<Connection>& conn);
   void DrainControl();
   void BeginShutdown();
   bool ThrottleAllows(const std::string& peer_ip, int64_t now_ms);
@@ -255,7 +252,6 @@ class SocketServer {
   void AdvanceWheel(int64_t now_ms);
 
   // Worker side.
-  void WorkerLoop();
   void ProcessConnection(const std::shared_ptr<Connection>& conn);
   void TearDown(const std::shared_ptr<Connection>& conn, bool timed_out);
 
@@ -278,8 +274,8 @@ class SocketServer {
   net::ScopedFd wake_write_;
   std::unique_ptr<net::Poller> poller_;
   std::thread reactor_thread_;
-  std::vector<std::thread> worker_threads_;
-  std::unique_ptr<BoundedQueue<std::shared_ptr<Connection>>> work_queue_;
+  // Runs ProcessConnection; created by Start, drained and joined by Stop.
+  std::unique_ptr<ThreadPool> session_pool_;
 
   // Reactor-thread state.
   std::unordered_map<int, std::shared_ptr<Connection>> connections_;

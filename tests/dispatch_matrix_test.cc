@@ -24,6 +24,8 @@ struct DispatchCase {
   bool ptime;             // PTIME cells must never report kUnknown
 };
 
+void PrintTo(const DispatchCase& c, std::ostream* os) { *os << c.name; }
+
 // One general (disjunctive) DTD and one disjunction-free DTD, shared by most
 // cells so the table reads as fragment x DTD-class.
 constexpr const char* kGeneralDtd =

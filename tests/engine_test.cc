@@ -456,6 +456,106 @@ TEST(SatEngineTest, DeadlineCancelsStillQueuedWork) {
   }
 }
 
+// The ticket record's claim arbitrates a worker starting a request against
+// TryCancel: with four workers picking requests up while two cancellers
+// sweep the same tickets in opposite orders, every ticket fulfils exactly
+// once, the route is "cancelled" exactly for the tickets a TryCancel won,
+// and the cancellations counter matches the wins.
+TEST(SatEngineTest, TryCancelRacingPickupFulfilsEachTicketOnce) {
+  constexpr size_t kTickets = 400;
+  Dtd d = MakeHeavyDtd();
+  std::vector<std::atomic<int>> fired(kTickets);
+  std::vector<std::atomic<int>> wins(kTickets);
+  std::vector<SatResponse> responses;
+  SatEngineStats stats;
+  {
+    SatEngineOptions opt;
+    opt.num_threads = 4;
+    opt.memo_capacity = 0;
+    SatEngine engine(opt);
+    DtdHandle handle = engine.RegisterDtd(d);
+    std::vector<SatTicket> tickets;
+    for (size_t i = 0; i < kTickets; ++i) {
+      SatRequest r;
+      r.query = i % 8 == 0 ? "**/item[title && note]" : "section/item";
+      r.dtd = handle;
+      tickets.push_back(engine.Submit(std::move(r)));
+      tickets.back().OnComplete([&fired, i](const SatResponse&) {
+        fired[i].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    auto sweep = [&](bool forward) {
+      for (size_t k = 0; k < kTickets; ++k) {
+        const size_t i = forward ? k : kTickets - 1 - k;
+        if (engine.TryCancel(tickets[i])) {
+          wins[i].fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    };
+    std::thread backward(sweep, false);
+    sweep(true);
+    backward.join();
+    for (const SatTicket& t : tickets) responses.push_back(t.Get());
+    stats = engine.stats();
+  }  // the engine's pool is joined: every worker-side callback has run
+  uint64_t cancelled = 0;
+  for (size_t i = 0; i < kTickets; ++i) {
+    EXPECT_EQ(fired[i].load(), 1) << "ticket " << i;
+    ASSERT_LE(wins[i].load(), 1) << "ticket " << i;
+    const bool won = wins[i].load() == 1;
+    cancelled += won ? 1 : 0;
+    ASSERT_TRUE(responses[i].status.ok());
+    EXPECT_EQ(responses[i].report.algorithm == "cancelled", won)
+        << "ticket " << i;
+  }
+  EXPECT_EQ(stats.cancellations, cancelled);
+  EXPECT_EQ(stats.requests, kTickets);
+}
+
+// Requests with a 1 ms deadline queued behind a busy single worker: the
+// reaper's revoke and the worker's pickup claim the same record, so every
+// ticket fulfils exactly once and, at quiescence, each request is either a
+// deadline expiry or an executed outcome (a memo hit or miss).
+TEST(SatEngineTest, QueuedDeadlinesFulfilOnceAndBalanceTheCounters) {
+  Dtd d = MakeHeavyDtd();
+  std::vector<std::atomic<int>> fired(60);
+  SatEngineStats stats;
+  {
+    SatEngineOptions opt;
+    opt.num_threads = 1;
+    SatEngine engine(opt);
+    DtdHandle handle = engine.RegisterDtd(d);
+    std::vector<SatTicket> tickets;
+    // Distinct NP skeleton searches (no memo hits among them) keep the one
+    // worker busy while the deadline tail waits behind them.
+    std::string heavy = "**/item[title && note";
+    for (size_t i = 0; i < fired.size(); ++i) {
+      SatRequest r;
+      r.dtd = handle;
+      if (i < 30) {
+        heavy += " && note";
+        r.query = heavy + "]";
+      } else {
+        r.query = "section/item";
+        r.deadline_ms = 1;
+      }
+      tickets.push_back(engine.Submit(std::move(r)));
+      tickets.back().OnComplete([&fired, i](const SatResponse&) {
+        fired[i].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+    for (const SatTicket& t : tickets) ASSERT_TRUE(t.Get().status.ok());
+    stats = engine.stats();
+  }  // the engine's pool is joined: every worker-side callback has run
+  for (size_t i = 0; i < fired.size(); ++i) {
+    EXPECT_EQ(fired[i].load(), 1) << "ticket " << i;
+  }
+  EXPECT_EQ(stats.requests, fired.size());
+  EXPECT_GE(stats.deadline_expirations, 1u);
+  EXPECT_EQ(stats.deadline_expirations + stats.memo_hits + stats.memo_misses,
+            stats.requests);
+}
+
 TEST(SatEngineTest, HandleReleaseUnderLoadKeepsArtifactsAlive) {
   // Requests pin the artifacts through their own handle copy: releasing the
   // caller's handle (and evicting the DTD from the cache) while requests are
@@ -863,6 +963,32 @@ TEST(SatEngineTest, EightThreadsHammerTheShardedMemo) {
 
 // --- Completion callbacks ------------------------------------------------
 
+// Parks the one worker of a `num_threads = 1` engine in a completion
+// callback until `open` is ready, so requests submitted afterwards stay
+// queued. A callback that runs inline (its ticket finished before
+// registration) runs on the calling thread and must not wait; the loop then
+// parks the worker on another request. The caller must make `open` ready
+// before the engine is destroyed, or the destructor waits on the worker.
+void ParkLoneWorker(SatEngine* engine, const DtdHandle& handle,
+                    const std::shared_future<void>& open) {
+  const std::thread::id caller = std::this_thread::get_id();
+  bool ran_inline = true;
+  while (ran_inline) {
+    ran_inline = false;
+    SatRequest blocker;
+    blocker.query = "section/item";
+    blocker.dtd = handle;
+    engine->Submit(std::move(blocker))
+        .OnComplete([open, caller, &ran_inline](const SatResponse&) {
+          if (std::this_thread::get_id() == caller) {
+            ran_inline = true;
+            return;
+          }
+          open.wait();
+        });
+  }
+}
+
 TEST(SatTicketCallbackTest, OnCompleteFiresWithTheResponse) {
   Dtd d = ParseDtdOrDie("root r\nr -> A*\nA -> eps\n");
   SatEngine engine;
@@ -939,28 +1065,11 @@ TEST(SatTicketCallbackTest, PendingCallbacksFireInRegistrationOrder) {
   opt.memo_capacity = 0;
   SatEngine engine(opt);
   DtdHandle handle = engine.RegisterDtd(d);
-  // Park the lone worker in a completion callback until `gate` opens, so the
-  // probe stays queued while its callbacks register. A callback that runs
-  // inline (its ticket finished before registration) runs on this thread
-  // and must not wait; the loop then parks the worker on another.
+  // Park the lone worker so the probe stays queued while its callbacks
+  // register.
   std::promise<void> gate;
-  const std::shared_future<void> open = gate.get_future().share();
   const std::thread::id test_thread = std::this_thread::get_id();
-  bool ran_inline = true;
-  while (ran_inline) {
-    ran_inline = false;
-    SatRequest blocker;
-    blocker.query = "section/item";
-    blocker.dtd = handle;
-    engine.Submit(std::move(blocker))
-        .OnComplete([open, test_thread, &ran_inline](const SatResponse&) {
-          if (std::this_thread::get_id() == test_thread) {
-            ran_inline = true;
-            return;
-          }
-          open.wait();
-        });
-  }
+  ParkLoneWorker(&engine, handle, gate.get_future().share());
   SatRequest probe;
   probe.query = "section/item";
   probe.dtd = handle;
@@ -1002,6 +1111,70 @@ TEST(SatTicketCallbackTest, PendingCallbacksFireInRegistrationOrder) {
     EXPECT_NE(id, test_thread);
   }
   EXPECT_TRUE(ticket.Get().status.ok());
+}
+
+TEST(SatTicketCallbackTest, WaitForTimesOutWhileQueuedThenSeesTheResponse) {
+  Dtd d = MakeHeavyDtd();
+  SatEngineOptions opt;
+  opt.num_threads = 1;
+  SatEngine engine(opt);
+  DtdHandle handle = engine.RegisterDtd(d);
+  std::promise<void> gate;
+  ParkLoneWorker(&engine, handle, gate.get_future().share());
+  SatRequest probe;
+  probe.query = "section/item";
+  probe.dtd = handle;
+  SatTicket ticket = engine.Submit(std::move(probe));
+  // Queued behind the parked worker: a bounded wait elapses unfulfilled.
+  // EXPECT, not ASSERT: returning before the gate opens would hang the
+  // engine's destructor on the parked worker.
+  EXPECT_FALSE(ticket.WaitFor(0));
+  EXPECT_FALSE(ticket.WaitFor(20));
+  EXPECT_FALSE(ticket.Ready());
+  gate.set_value();
+  ASSERT_TRUE(ticket.WaitFor(30000));
+  EXPECT_TRUE(ticket.Ready());
+  EXPECT_TRUE(ticket.WaitFor(0)) << "a done ticket returns at once";
+  ASSERT_TRUE(ticket.Get().status.ok());
+  EXPECT_TRUE(ticket.Get().report.sat());
+}
+
+TEST(SatEngineTest, CancelledWhileQueuedNeverExecutes) {
+  // With the lone worker parked, the probe is queued for certain: TryCancel
+  // wins, fulfils it on this thread, and the worker later drops the revoked
+  // record instead of running it. Counters: every request but the probe
+  // executed (a memo hit or miss); the probe is the one cancellation.
+  Dtd d = MakeHeavyDtd();
+  SatEngineOptions opt;
+  opt.num_threads = 1;
+  SatEngine engine(opt);
+  DtdHandle handle = engine.RegisterDtd(d);
+  std::promise<void> gate;
+  ParkLoneWorker(&engine, handle, gate.get_future().share());
+  SatRequest probe;
+  probe.query = "section/item";
+  probe.dtd = handle;
+  SatTicket ticket = engine.Submit(std::move(probe));
+  std::atomic<int> fired{0};
+  ticket.OnComplete([&fired](const SatResponse&) { fired.fetch_add(1); });
+  EXPECT_TRUE(engine.TryCancel(ticket));
+  EXPECT_FALSE(engine.TryCancel(ticket)) << "only the first cancel wins";
+  EXPECT_TRUE(ticket.Ready());
+  EXPECT_EQ(fired.load(), 1) << "TryCancel ran the callback synchronously";
+  EXPECT_EQ(ticket.Get().report.algorithm, "cancelled");
+  EXPECT_EQ(ticket.Get().report.decision.verdict, SatVerdict::kUnknown);
+  gate.set_value();
+  // A request behind the revoked one: once it is done, the worker has
+  // passed the probe's queue slot.
+  SatRequest after;
+  after.query = "section/item";
+  after.dtd = handle;
+  ASSERT_TRUE(engine.Submit(std::move(after)).Get().status.ok());
+  EXPECT_EQ(fired.load(), 1);
+  const SatEngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cancellations, 1u);
+  EXPECT_EQ(stats.memo_hits + stats.memo_misses + stats.cancellations,
+            stats.requests);
 }
 
 // --- Request traces and the observability surfaces --------------------------

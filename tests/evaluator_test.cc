@@ -28,6 +28,12 @@ struct EvalCase {
   bool expect;  // satisfied at the root
 };
 
+// Names the CTest case after its fields, never its bytes (which hold
+// pointers and so differ from build to build).
+void PrintTo(const EvalCase& c, std::ostream* os) {
+  *os << c.query << (c.expect ? " matches" : " no match");
+}
+
 class EvalAtRoot : public ::testing::TestWithParam<EvalCase> {};
 
 TEST_P(EvalAtRoot, Matches) {

@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "gtest/gtest.h"
-#include "src/util/bounded_queue.h"
 
 namespace xpathsat {
 namespace net {
@@ -454,23 +453,6 @@ INSTANTIATE_TEST_SUITE_P(EpollAndPollFallback, PollerTest,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "ForcePoll" : "Default";
                          });
-
-// --- BoundedQueue -----------------------------------------------------------
-
-TEST(BoundedQueueTest, FifoCloseAndDrainSemantics) {
-  BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3)) << "full queue refuses TryPush";
-  queue.Close();
-  EXPECT_FALSE(queue.Push(4)) << "closed queue refuses Push";
-  int out = 0;
-  EXPECT_TRUE(queue.Pop(&out));
-  EXPECT_EQ(out, 1);
-  EXPECT_TRUE(queue.Pop(&out));
-  EXPECT_EQ(out, 2);
-  EXPECT_FALSE(queue.Pop(&out)) << "closed AND drained ends Pop";
-}
 
 }  // namespace
 }  // namespace net

@@ -56,6 +56,11 @@ struct GlushkovCase {
   bool expect;
 };
 
+void PrintTo(const GlushkovCase& c, std::ostream* os) {
+  *os << c.regex << " vs '" << c.word
+      << (c.expect ? "' accepts" : "' rejects");
+}
+
 class GlushkovMatchTest : public ::testing::TestWithParam<GlushkovCase> {};
 
 TEST_P(GlushkovMatchTest, Matches) {

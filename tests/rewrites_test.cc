@@ -103,6 +103,10 @@ struct UpDownCase {
   const char* expected;  // nullptr: always unsat
 };
 
+void PrintTo(const UpDownCase& c, std::ostream* os) {
+  *os << c.input << " to " << (c.expected ? c.expected : "unsat");
+}
+
 class UpDownRewriteTest : public ::testing::TestWithParam<UpDownCase> {};
 
 TEST_P(UpDownRewriteTest, Rewrites) {

@@ -1197,12 +1197,11 @@ TEST(SocketServerTest, StatsAndMetricsAgree) {
       NumericFields(MetricsSection(metrics, "routes"));
 
   // Not registry cells: the rewrite pair lives on RewriteCache; uptime_ms
-  // and snapshot_seq are stamped per reply; live_dtd_handles is the handle
-  // refcount, shared with pins that may outlive the engine. The
-  // live_compiled_artifacts gauge is a registry cell and is compared.
+  // and snapshot_seq are stamped per reply. The live_dtd_handles and
+  // live_compiled_artifacts gauges are registry cells and are compared.
   const std::set<std::string> not_in_registry = {
       "rewrite_cache_hits", "rewrite_cache_misses", "uptime_ms",
-      "snapshot_seq", "live_dtd_handles"};
+      "snapshot_seq"};
   size_t compared = 0;
   for (const auto& [name, value] : stats) {
     if (not_in_registry.count(name) != 0) continue;
@@ -1210,8 +1209,8 @@ TEST(SocketServerTest, StatsAndMetricsAgree) {
     EXPECT_EQ(cells[name], value) << name;
     ++compared;
   }
-  EXPECT_EQ(compared, kNumSatEngineCounters + 6)
-      << "15 engine counters + the live-artifact gauge + 5 server";
+  EXPECT_EQ(compared, kNumSatEngineCounters + 7)
+      << "15 engine counters + the two engine gauges + 5 server";
   EXPECT_EQ(stats.at("memo_hits"), routes["memo-hit"]);
   EXPECT_EQ(stats.at("cancellations"), routes["cancelled"]);
   EXPECT_EQ(stats.at("deadline_expirations"), routes["deadline"]);

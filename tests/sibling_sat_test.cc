@@ -16,6 +16,10 @@ struct SibCase {
   bool sat;
 };
 
+void PrintTo(const SibCase& c, std::ostream* os) {
+  *os << c.query << (c.sat ? " sat" : " unsat");
+}
+
 class SiblingCases : public ::testing::TestWithParam<SibCase> {};
 
 TEST_P(SiblingCases, Decides) {

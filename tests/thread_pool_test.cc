@@ -1,13 +1,17 @@
-// The engine's ThreadPool: results come back through futures, work actually
-// runs concurrently-safe, and destruction drains the queue.
+// The ThreadPool: every void job runs exactly once on a worker thread, the
+// workers run jobs side by side, destruction drains the queue, and a single
+// worker runs jobs in submission order.
 #include "src/util/thread_pool.h"
 
 #include <atomic>
-#include <future>
-#include <memory>
+#include <chrono>
+#include <set>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/util/mutex.h"
 
 namespace xpathsat {
 namespace {
@@ -17,30 +21,69 @@ TEST(ThreadPoolTest, DefaultsToAtLeastOneThread) {
   EXPECT_GE(pool.num_threads(), 1);
 }
 
-TEST(ThreadPoolTest, ReturnsResultsThroughFutures) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::vector<std::future<int>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.Submit([i] { return i * i; }));
-  }
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(futures[static_cast<size_t>(i)].get(), i * i);
+TEST(ThreadPoolTest, RunsEveryJobExactlyOnce) {
+  constexpr int kJobs = 1000;
+  std::vector<std::atomic<int>> runs(kJobs);
+  {
+    ThreadPool pool(4);
+    EXPECT_EQ(pool.num_threads(), 4);
+    for (int i = 0; i < kJobs; ++i) {
+      pool.Submit([&runs, i] {
+        runs[static_cast<size_t>(i)].fetch_add(1, std::memory_order_relaxed);
+      });
+    }
+  }  // the destructor drains and joins: every job has run
+  for (int i = 0; i < kJobs; ++i) {
+    EXPECT_EQ(runs[static_cast<size_t>(i)].load(), 1) << "job " << i;
   }
 }
 
-TEST(ThreadPoolTest, RunsEveryJobExactlyOnce) {
-  std::atomic<int> count{0};
+TEST(ThreadPoolTest, JobsRunOnWorkerThreadsNeverInline) {
+  // Submit only enqueues (the socket server submits from its event loop,
+  // which must not run a connection's batch itself); the jobs spread over
+  // at most num_threads() distinct worker threads.
+  const std::thread::id submitter = std::this_thread::get_id();
+  util::Mutex mu;
+  std::set<std::thread::id> ran_on;
   {
-    ThreadPool pool(4);
-    std::vector<std::future<void>> futures;
-    for (int i = 0; i < 1000; ++i) {
-      futures.push_back(pool.Submit(
-          [&count] { count.fetch_add(1, std::memory_order_relaxed); }));
+    ThreadPool pool(3);
+    for (int i = 0; i < 300; ++i) {
+      pool.Submit([&mu, &ran_on] {
+        util::MutexLock lock(mu);
+        ran_on.insert(std::this_thread::get_id());
+      });
     }
-    for (auto& f : futures) f.get();
+  }  // joined: `ran_on` is published to this thread
+  EXPECT_GE(ran_on.size(), 1u);
+  EXPECT_LE(ran_on.size(), 3u);
+  EXPECT_EQ(ran_on.count(submitter), 0u);
+}
+
+TEST(ThreadPoolTest, WorkersRunJobsConcurrently) {
+  // Four jobs that each wait for all four to have started: only a pool that
+  // runs its four workers side by side gets every job past the rendezvous.
+  // The wait is bounded, so a pool that serializes fails instead of hanging.
+  constexpr int kWorkers = 4;
+  util::Mutex mu;
+  util::CondVar all_started;
+  int started = 0;
+  std::atomic<int> met{0};
+  {
+    ThreadPool pool(kWorkers);
+    for (int i = 0; i < kWorkers; ++i) {
+      pool.Submit([&] {
+        const auto give_up =
+            std::chrono::steady_clock::now() + std::chrono::seconds(30);
+        util::MutexLock lock(mu);
+        ++started;
+        all_started.NotifyAll();
+        while (started < kWorkers && all_started.WaitUntil(mu, give_up)) {
+        }
+        if (started == kWorkers) met.fetch_add(1, std::memory_order_relaxed);
+      });
+    }
   }
-  EXPECT_EQ(count.load(), 1000);
+  EXPECT_EQ(met.load(), kWorkers);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueuedJobs) {
@@ -56,97 +99,34 @@ TEST(ThreadPoolTest, DestructorDrainsQueuedJobs) {
   EXPECT_EQ(count.load(), 200);
 }
 
-TEST(ThreadPoolTest, SingleThreadPreservesSubmissionOrder) {
-  ThreadPool pool(1);
-  std::vector<int> order;
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(pool.Submit([&order, i] { order.push_back(i); }));
-  }
-  for (auto& f : futures) f.get();
-  ASSERT_EQ(order.size(), 50u);
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
-}
-
-TEST(ThreadPoolTest, MovableResultTypes) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { return std::make_unique<int>(42); });
-  EXPECT_EQ(*f.get(), 42);
-}
-
-TEST(CancellableJobTest, CancelledWhileQueuedNeverRuns) {
-  std::atomic<int> ran{0};
-  std::shared_ptr<CancellableJob> cancelled_job;
-  {
-    ThreadPool pool(1);
-    // Block the single worker so everything behind it stays queued.
-    std::promise<void> release;
-    std::future<void> released = release.get_future();
-    auto gate = pool.Submit([&released] { released.wait(); });
-    cancelled_job = pool.SubmitCancellable(
-        [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-    EXPECT_EQ(cancelled_job->state(), CancellableJob::State::kQueued);
-    EXPECT_TRUE(cancelled_job->TryCancel());
-    EXPECT_TRUE(cancelled_job->cancelled());
-    // Only the first cancel wins.
-    EXPECT_FALSE(cancelled_job->TryCancel());
-    release.set_value();
-    gate.get();
-  }  // destructor drains the queue: the cancelled entry is popped, not run
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(cancelled_job->state(), CancellableJob::State::kCancelled);
-}
-
-TEST(CancellableJobTest, CompletedJobCannotBeCancelled) {
-  ThreadPool pool(1);
-  std::atomic<int> ran{0};
-  auto job = pool.SubmitCancellable(
-      [&ran] { ran.fetch_add(1, std::memory_order_relaxed); });
-  while (!job->done()) std::this_thread::yield();
-  EXPECT_EQ(ran.load(), 1);
-  EXPECT_FALSE(job->TryCancel());
-  EXPECT_EQ(job->state(), CancellableJob::State::kDone);
-}
-
-TEST(CancellableJobTest, PrePublishedControlBlockIsHonored) {
-  auto job = std::make_shared<CancellableJob>();
-  std::promise<int> result;
-  std::future<int> f = result.get_future();
+TEST(ThreadPoolTest, JobsMaySubmitFollowUpJobs) {
+  // A job re-submitting from a worker (the socket server's re-enqueue of a
+  // connection whose lines arrived mid-batch) never blocks, and the
+  // follow-ups run before the destructor returns.
+  std::atomic<int> count{0};
   {
     ThreadPool pool(2);
-    pool.SubmitCancellable(job, [&result] { result.set_value(7); });
-    EXPECT_EQ(f.get(), 7);
-    // The worker flips the job to done AFTER the body returns, so the state
-    // is only guaranteed once the pool has drained — assert after join, not
-    // right after the future resolves (that ordering was a flake).
+    for (int i = 0; i < 50; ++i) {
+      pool.Submit([&pool, &count] {
+        count.fetch_add(1, std::memory_order_relaxed);
+        pool.Submit(
+            [&count] { count.fetch_add(1, std::memory_order_relaxed); });
+      });
+    }
   }
-  EXPECT_TRUE(job->done());
+  EXPECT_EQ(count.load(), 100);
 }
 
-TEST(CancellableJobTest, RacingCancellersAndWorkersAgree) {
-  // Every job either runs exactly once (worker won the CAS) or never runs
-  // (the canceller won); TryCancel returns true for exactly the latter set.
-  // TSan runs this in CI to check the arbitration is race-free.
-  constexpr int kJobs = 400;
-  std::atomic<int> ran{0};
-  int cancelled = 0;
-  std::vector<std::shared_ptr<CancellableJob>> jobs;
-  jobs.reserve(kJobs);
+TEST(ThreadPoolTest, SingleThreadPreservesSubmissionOrder) {
+  std::vector<int> order;
   {
-    ThreadPool pool(4);
-    for (int i = 0; i < kJobs; ++i) {
-      jobs.push_back(pool.SubmitCancellable(
-          [&ran] { ran.fetch_add(1, std::memory_order_relaxed); }));
+    ThreadPool pool(1);
+    for (int i = 0; i < 50; ++i) {
+      pool.Submit([&order, i] { order.push_back(i); });
     }
-    for (const auto& job : jobs) {
-      if (job->TryCancel()) ++cancelled;
-    }
-  }  // pool drained: every surviving job has run
-  EXPECT_EQ(ran.load() + cancelled, kJobs);
-  for (const auto& job : jobs) {
-    EXPECT_TRUE(job->state() == CancellableJob::State::kDone ||
-                job->state() == CancellableJob::State::kCancelled);
-  }
+  }  // joined: `order` is published to this thread
+  ASSERT_EQ(order.size(), 50u);
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
 }
 
 }  // namespace

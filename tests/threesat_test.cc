@@ -71,6 +71,8 @@ struct EncodingCase {
   Encoder encode;
 };
 
+void PrintTo(const EncodingCase& c, std::ostream* os) { *os << c.name; }
+
 class PositiveEncodingAgree
     : public ::testing::TestWithParam<std::tuple<EncodingCase, int>> {};
 

@@ -54,11 +54,11 @@ Rules (ids are stable; failures print one machine-readable line each):
                   integer declaration (in practice a data member, possibly
                   behind a shared_ptr) must be on an explicit allowlist:
                   the id sequences next_handle_id / next_ticket_id /
-                  snapshot_seq, the timestamps last_activity_ms /
-                  enqueued_at_ns, and the live_handles refcount (a trailing
-                  member `_` is ignored). Anything else is an event counter
-                  and belongs in an obs::MetricsRegistry, where `stats` and
-                  `metrics` read the same cell.
+                  snapshot_seq and the timestamp last_activity_ms (a
+                  trailing member `_` is ignored). Anything else is an
+                  event counter or a gauge and belongs in an
+                  obs::MetricsRegistry, where `stats` and `metrics` read
+                  the same cell.
   dead-option     every field of SatEngineOptions, SocketServerOptions,
                   SessionOptions and ClientOptions is assigned
                   (`VAR.NAME =`, or `VAR.session.NAME =` through a
@@ -457,17 +457,15 @@ ATOMIC_INT_DECL = re.compile(
     r"(?:\s*>)*\s+(\w+)\s*[{=;\[]")
 COUNTER_STORE_ALLOWLIST = frozenset((
     "next_handle_id", "next_ticket_id", "snapshot_seq",  # id sequences
-    "last_activity_ms", "enqueued_at_ns",                # timestamps
-    "live_handles",                                      # handle refcount
+    "last_activity_ms",                                  # timestamp
 ))
 
 
 def rule_counter_store(root):
     """Event counters live in one store, obs::MetricsRegistry: a private
     std::atomic counter next to it is a second source of truth that `stats`
-    and `metrics` can disagree over. Only ids, timestamps and the handle
-    refcount — not events — may stay bare atomics outside src/obs/ and
-    src/util/."""
+    and `metrics` can disagree over. Only ids and timestamps — not events
+    or gauges — may stay bare atomics outside src/obs/ and src/util/."""
     findings = []
     for path in source_files(root, ("src", "tools")):
         r = rel(root, path)
@@ -482,7 +480,7 @@ def rule_counter_store(root):
                 continue
             findings.append(
                 (r, "line %d: std::atomic integer '%s' is not an allowlisted "
-                 "id, timestamp or refcount — count events through an "
+                 "id or timestamp — count events through an "
                  "obs::Counter/obs::Gauge in the component's MetricsRegistry "
                  "so `stats` and `metrics` read one cell"
                  % (line_of(text, m.start()), name)))
