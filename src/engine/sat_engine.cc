@@ -1,7 +1,7 @@
 #include "src/engine/sat_engine.h"
 
-#include <map>
 #include <optional>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -194,32 +194,6 @@ void SatTicket::OnComplete(std::function<void(const SatResponse&)> cb) const {
   cb(*stored);
 }
 
-namespace {
-
-// The engine-wide shard target: the cache_shards option (0 = hardware
-// default) rounded up to a power of two and clamped to 64, BEFORE any
-// per-cache capacity constraint. This is what cache_shards() reports.
-size_t ResolveShardTarget(size_t cache_shards_option) {
-  size_t requested = cache_shards_option == 0 ? DefaultCacheShards()
-                                              : cache_shards_option;
-  size_t shards = 1;
-  while (shards < requested && shards < 64) shards <<= 1;
-  return shards;
-}
-
-// Per-cache cap: halve the target until every shard can hold at least the
-// cache's entry floor (max_shards = capacity / floor). The query cache
-// needs >= 2 per shard (a canonical entry and its raw alias must never
-// evict each other), and the DTD cache >= 4 per shard (its capacity is
-// small and a per-shard LRU of 1 would recompile-thrash alternating
-// registrations that hash together).
-size_t CapShards(size_t target, size_t max_shards) {
-  while (target > max_shards && target > 1) target >>= 1;
-  return target;
-}
-
-}  // namespace
-
 SatEngineOptions SatEngine::Normalize(SatEngineOptions options) {
   if (options.dtd_cache_capacity < 1) options.dtd_cache_capacity = 1;
   return options;
@@ -230,21 +204,14 @@ SatEngineOptions SatEngine::Normalize(SatEngineOptions options) {
 // counter per probe would only serialize the hot path.
 SatEngine::SatEngine(const SatEngineOptions& options)
     : options_(Normalize(options)),
-      resolved_shards_(ResolveShardTarget(options_.cache_shards)),
-      dtd_cache_(options_.dtd_cache_capacity,
-                 CapShards(resolved_shards_, options_.dtd_cache_capacity / 4),
-                 /*count_probes=*/false),
-      query_cache_(kQueryCacheCapacity,
-                   CapShards(resolved_shards_, kQueryCacheCapacity / 2),
-                   /*count_probes=*/false),
-      // Sized even when disabled (ShardedLruCache has no empty state); the
-      // memo_enabled gate in Execute keeps a disabled memo untouched.
-      memo_(options_.memo_capacity > 0 ? options_.memo_capacity : 1,
-            resolved_shards_, /*count_probes=*/false),
+      dtd_cache_(options_.dtd_cache_capacity, /*count_probes=*/false),
+      query_cache_(kQueryCacheCapacity, /*count_probes=*/false),
+      // A disabled memo (capacity 0) is a one-entry cache that the
+      // memo_enabled gate in Execute never touches.
+      memo_(options_.memo_capacity, /*count_probes=*/false),
       rewrite_cache_(options_.rewrite_cache_capacity > 0
                          ? std::make_unique<RewriteCache>(
-                               options_.rewrite_cache_capacity,
-                               resolved_shards_)
+                               options_.rewrite_cache_capacity)
                          : nullptr),
       metrics_(std::make_shared<obs::MetricsRegistry>()),
       live_handles_(metrics_, metrics_->gauge("live_dtd_handles")),
@@ -298,9 +265,12 @@ std::shared_ptr<const CompiledDtd> SatEngine::LookupDtd(const Dtd& dtd,
   }
   // Compile outside any lock: a slow compilation must not serialize the
   // pool. Two racing threads may compile the same DTD; the first insert
-  // wins and both use the winner.
+  // wins and both use the winner. Every compile the engine runs
+  // (registration, snapshot load) is one dtd_compile_ns record.
+  const Clock::time_point compile_start = Clock::now();
   std::shared_ptr<const CompiledDtd> compiled =
       Track(CompiledDtd::Compile(dtd));
+  hist_dtd_compile_ns_->Record(ToNs(Clock::now() - compile_start));
   std::vector<std::shared_ptr<const CompiledDtd>> evicted;
   std::shared_ptr<const CompiledDtd> resident =
       dtd_cache_.InsertIfAbsent(fp, compiled, &evicted);
@@ -338,13 +308,8 @@ std::shared_ptr<const CompiledDtd> SatEngine::CompileAndCache(const Dtd& dtd) {
 
 DtdHandle SatEngine::RegisterDtd(const Dtd& dtd) {
   bool hit = false;
-  const Clock::time_point compile_start = Clock::now();
   std::shared_ptr<const CompiledDtd> compiled =
       LookupDtd(dtd, dtd.Fingerprint(), &hit);
-  // DTD compilation happens here, at registration (requests carry pinned
-  // artifacts), so the compile histogram lives on this path: one record per
-  // actual compilation, none for cache hits.
-  if (!hit) hist_dtd_compile_ns_->Record(ToNs(Clock::now() - compile_start));
   hit ? Count<&SatEngineStats::dtd_cache_hits>()
       : Count<&SatEngineStats::dtd_cache_misses>();
   auto pin = std::make_shared<engine_internal::DtdPin>();
@@ -651,16 +616,15 @@ SatResponse SatEngine::Run(const SatRequest& request) {
 SnapshotSaveResult SatEngine::SaveSnapshot(const std::string& path) const {
   SnapshotSaveResult result;
 
-  // Phase 1: collect, under the shard locks, shared_ptr copies only.
-  // ForEach visits one shard at a time, so a save racing live traffic holds
-  // no lock for longer than one shard walk and serializes nothing global.
-  // One schema per fingerprint per file, so a loaded memo is verifiable
-  // against a schema from the same file: the DTD cache's sources first,
+  // Phase 1: collect, under each cache's lock in turn, shared_ptr copies
+  // only. One schema per fingerprint per file, so a loaded memo is
+  // verifiable against a schema from the same file: the DTD cache's
+  // sources first, most recently used first (a load admits that prefix),
   // then the Dtds that memo entries pin.
-  std::map<uint64_t, std::shared_ptr<const Dtd>> sources;
+  std::vector<std::pair<uint64_t, std::shared_ptr<const Dtd>>> sources;
   dtd_cache_.ForEach(
       [&](const uint64_t& fp, const std::shared_ptr<const CompiledDtd>& v) {
-        sources.emplace(fp, v->shared_dtd);
+        sources.emplace_back(fp, v->shared_dtd);
       });
   std::vector<std::pair<std::string, MemoEntry>> memos;
   if (options_.memo_capacity > 0) {
@@ -673,10 +637,15 @@ SnapshotSaveResult SatEngine::SaveSnapshot(const std::string& path) const {
   // Phase 2: serialize and write, outside every lock. A memo whose
   // fingerprint slot is owned by a different, non-equivalent schema (a
   // collision) is dropped.
+  std::unordered_map<uint64_t, const Dtd*> seen;
+  for (const auto& [fp, dtd] : sources) seen.emplace(fp, dtd.get());
   for (auto& kv : memos) {
     const std::shared_ptr<const Dtd>& dtd = kv.second.dtd;
-    auto it = sources.emplace(MemoKeyFingerprint(kv.first), dtd).first;
-    if (it->second != dtd && !it->second->EquivalentTo(*dtd)) {
+    const uint64_t fp = MemoKeyFingerprint(kv.first);
+    auto [it, fresh] = seen.emplace(fp, dtd.get());
+    if (fresh) {
+      sources.emplace_back(fp, dtd);
+    } else if (it->second != dtd.get() && !it->second->EquivalentTo(*dtd)) {
       kv.second.report = nullptr;  // marks the entry dropped
     }
   }
@@ -743,7 +712,7 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
   // resident under their claimed fingerprint — so a forged fingerprint can
   // not graft a memo onto an unrelated schema. Only the source Dtds are
   // kept, so a load pins no more compiled artifacts than the cache holds.
-  std::map<uint64_t, std::shared_ptr<const Dtd>> file_schemas;
+  std::unordered_map<uint64_t, std::shared_ptr<const Dtd>> file_schemas;
   const bool memo_enabled = options_.memo_capacity > 0;
 
   for (;;) {
@@ -766,14 +735,19 @@ SnapshotLoadResult SatEngine::LoadSnapshot(const std::string& path) {
         ++result.rejected_records;
         continue;
       }
-      // Admission is RegisterDtd's path: an equivalent cached schema is
-      // reused; otherwise the schema is compiled here and inserted
-      // keep-incumbent. On a collision the fresh compile is not cached and
-      // the schema stays file-local — memos from this file still attach to
-      // it, but it never displaces live state.
-      const Dtd& dtd = decoded.value();
-      const uint64_t fp = dtd.Fingerprint();
-      file_schemas[fp] = LookupDtd(dtd, fp, nullptr)->shared_dtd;
+      // The first dtd_cache_capacity schemas (a save writes the DTD
+      // cache's, most recently used first) are admitted on RegisterDtd's
+      // path: an equivalent cached schema is reused; otherwise the schema
+      // is compiled here and inserted keep-incumbent. On a collision the
+      // fresh compile is not cached and the schema stays file-local —
+      // memos from this file still attach to it, but it never displaces
+      // live state. Later schemas would only evict earlier ones, so they
+      // stay file-local uncompiled Dtds that their memos pin.
+      const uint64_t fp = decoded.value().Fingerprint();
+      file_schemas[fp] =
+          result.dtds_loaded < options_.dtd_cache_capacity
+              ? LookupDtd(decoded.value(), fp, nullptr)->shared_dtd
+              : std::make_shared<const Dtd>(std::move(decoded).value());
       ++result.dtds_loaded;
       Count<&SatEngineStats::store_dtds_loaded>();
     } else if (tag == static_cast<uint8_t>(store::RecordTag::kMemoEntry)) {

@@ -28,7 +28,7 @@
 //     computed, cancelled, expired) instead of one blocking Get per ticket
 //     — this is what the socket server (src/server/) pipelines
 //     out-of-order responses with.
-//   * Verdict memoization: a sharded LRU cache keyed by (canonical query
+//   * Verdict memoization: an LRU cache keyed by (canonical query
 //     printing, DTD fingerprint, SatOptions::Digest()) sitting above the
 //     artifact caches; a repeat request returns the memoized SatReport
 //     without touching the deciders at all. Entries pin the schema source
@@ -42,12 +42,11 @@
 //     fragments (Thm 6.8(1)/4.4) — is computed once per (query, DTD) pair
 //     and reused by every later miss, across threads and connections.
 //
-// All four caches are built on ShardedLruCache (src/util/): per-shard
-// mutexes, shard by key hash, per-shard LRU with an aggregate capacity, so
-// concurrent clients funneling into one engine (the socket server's shape)
-// do not serialize on a single cache mutex. SatEngineOptions::cache_shards
-// tunes the shard count; 1 reproduces the old single-mutex layout exactly
-// (the parity baseline in tests).
+// All four caches are built on LruCache (src/util/lru_cache.h): one mutex,
+// one recency list and one index per cache, exact LRU eviction. A probe
+// holds its cache's lock for one hash lookup and one list splice, and no
+// lock spans two caches; evicted values are freed after the lock is
+// released.
 //
 // Verdict parity: the engine runs the same Sec. 8 dispatch over the same
 // CompiledDtd that DecideSatisfiability(parse(query), dtd, options) builds,
@@ -71,8 +70,8 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sat/satisfiability.h"
+#include "src/util/lru_cache.h"
 #include "src/util/mutex.h"
-#include "src/util/sharded_lru_cache.h"
 #include "src/util/status.h"
 #include "src/util/thread_annotations.h"
 #include "src/util/thread_pool.h"
@@ -107,14 +106,6 @@ struct SatEngineOptions {
   /// fingerprint)); serves the miss path of the Thm 6.8(1)/6.8(2)/4.4
   /// pipelines. 0 disables rewrite caching (every miss re-runs f(p)).
   size_t rewrite_cache_capacity = 4096;
-  /// Shard target for all four caches: rounded up to a power of two and
-  /// clamped to [1, 64]; 0 picks a hardware default (smallest power of two
-  /// >= core count), 1 reproduces the single-mutex layout (one lock, exact
-  /// global LRU order). Each cache then lowers its own count where its
-  /// capacity demands a per-shard entry floor: >= 1 everywhere, >= 2 for
-  /// the query cache (a canonical entry and its raw-text alias must fit in
-  /// one shard together), >= 4 for the small, expensive-miss DTD cache.
-  size_t cache_shards = 0;
   /// Requests whose end-to-end latency (queue wait included) reaches this
   /// threshold are copied — query text, fingerprint, route, span breakdown —
   /// into the slow-query log (drained via DrainSlowLog / the `slow` protocol
@@ -254,8 +245,10 @@ struct SnapshotLoadResult {
   ErrorKind error_kind = ErrorKind::kNone;
   /// The version an incompatible file claims (ErrorKind::kVersion only).
   uint32_t file_version = 0;
-  /// Verified schema records admitted: compiled into the DTD cache, or
-  /// matched to an equivalent incumbent already there.
+  /// Verified schema records (text parses and re-derives its fingerprint).
+  /// The first dtd_cache_capacity of them are admitted to the DTD cache
+  /// (compiled, or matched to an equivalent incumbent); the rest are kept
+  /// uncompiled, only for their memo records to attach to.
   uint64_t dtds_loaded = 0;
   /// Memo records attached to a schema verified from this file.
   uint64_t memos_loaded = 0;
@@ -426,27 +419,29 @@ class SatEngine {
   /// Writes a versioned snapshot (src/store/snapshot.h) of the served
   /// schemas and the verdict memo to `path`, atomically (a temporary unique
   /// to this save, synced, then renamed). Entries are collected by walking
-  /// the sharded caches one shard at a time under that shard's lock
-  /// (shared_ptr copies only — serialization happens outside every lock),
-  /// so a save concurrent with live traffic is safe and captures a
-  /// consistent-per-shard view. Each fingerprint's source Dtd is written
-  /// once: from the DTD cache, or from the memo entries that pin it after
-  /// its artifacts were evicted, so every saved memo record can be
-  /// re-verified on load. Save compiles nothing.
+  /// the DTD cache, then the memo, each under its own lock (shared_ptr
+  /// copies only — serialization happens outside every lock), so a save
+  /// concurrent with live traffic is safe and captures a consistent view of
+  /// each cache. Each fingerprint's source Dtd is written once: the DTD
+  /// cache's first, most recently used first, then those that memo entries
+  /// pin after their artifacts were evicted, so every saved memo record can
+  /// be re-verified on load. Save compiles nothing.
   SnapshotSaveResult SaveSnapshot(const std::string& path) const;
 
   /// Warms the caches from a snapshot at `path`. Per-record trust chain:
   /// a record must pass its CRC, its schema text must parse and re-derive
   /// the fingerprint it is keyed by, and memo entries attach only to a
   /// schema verified from the same file — corrupt, truncated, or
-  /// colliding records are skipped and counted, never trusted. Each schema
-  /// is admitted through LookupDtd, the path RegisterDtd takes: an
-  /// equivalent cached schema is reused, otherwise it is compiled and
-  /// inserted keep-incumbent, so a load never clobbers hotter in-memory
-  /// state and never reads a derived artifact from disk. The runtime
-  /// EquivalentTo hit checks still guard every warm entry. The whole load
-  /// is stamped as an `artifact-store-load` span (histogram, route counter,
-  /// RequestTrace into the slow-query log when over threshold).
+  /// colliding records are skipped and counted, never trusted. The first
+  /// dtd_cache_capacity schemas are admitted through LookupDtd, the path
+  /// RegisterDtd takes: an equivalent cached schema is reused, otherwise it
+  /// is compiled and inserted keep-incumbent, so a load never clobbers
+  /// hotter in-memory state and never reads a derived artifact from disk.
+  /// Later schemas are not compiled (the cache could not keep them); their
+  /// memo records pin the source Dtd. The runtime EquivalentTo hit checks
+  /// still guard every warm entry. The whole load is stamped as an
+  /// `artifact-store-load` span (histogram, route counter, RequestTrace
+  /// into the slow-query log when over threshold).
   SnapshotLoadResult LoadSnapshot(const std::string& path);
 
   SatEngineStats stats() const;
@@ -483,11 +478,6 @@ class SatEngine {
   /// not a counter).
   uint64_t live_compiled_artifacts() const;
   int num_threads() const { return pool_.num_threads(); }
-  /// The resolved engine-wide shard target (cache_shards rounded up to a
-  /// power of two, clamped to [1, 64]). Individual caches may run with
-  /// fewer shards where their capacity demands a per-shard entry floor —
-  /// see SatEngineOptions::cache_shards.
-  size_t cache_shards() const { return resolved_shards_; }
 
  private:
   struct CachedQuery {
@@ -548,29 +538,25 @@ class SatEngine {
   }
 
   SatEngineOptions options_;
-  // cache_shards resolved (power of two in [1, 64]) before per-cache
-  // capacity floors; what cache_shards() reports.
-  size_t resolved_shards_ = 1;
 
-  // The sharded cache core (per-shard mutexes; no engine-wide cache lock
-  // anywhere). All values are shared_ptr-like handles, so readers never
-  // hold a shard lock while using an entry.
+  // The cache core: one LruCache per cache, each with its own lock (no
+  // engine-wide cache lock anywhere). All values are shared_ptr-like
+  // handles, so readers never hold a cache lock while using an entry.
   //
   // DTD cache: fingerprint -> artifacts. Hits are verified against the
   // source DTD (EquivalentTo) — a colliding registration is served fresh,
   // uncached, and the incumbent keeps the slot.
-  ShardedLruCache<uint64_t, std::shared_ptr<const CompiledDtd>> dtd_cache_;
+  LruCache<uint64_t, std::shared_ptr<const CompiledDtd>> dtd_cache_;
   // Query cache: keys are canonical printings plus raw-text aliases, all
   // pointing at shared entries (each key is its own LRU slot; the entry
   // dies when its last key is evicted).
-  ShardedLruCache<std::string, std::shared_ptr<const CachedQuery>>
-      query_cache_;
+  LruCache<std::string, std::shared_ptr<const CachedQuery>> query_cache_;
   // Verdict memo: composite key -> entry. The key string is the canonical
   // query printing followed by the raw 8-byte fingerprint and options
   // digest (exact, not hashed — no collision surface beyond the
   // fingerprint, which the entry verifies). Sized max(1, memo_capacity);
   // unused when memo_capacity == 0.
-  ShardedLruCache<std::string, MemoEntry> memo_;
+  LruCache<std::string, MemoEntry> memo_;
   // Prop 3.3 rewrite cache, threaded into the deciders through
   // DecideSatisfiability; null when rewrite_cache_capacity == 0.
   std::unique_ptr<RewriteCache> rewrite_cache_;

@@ -23,8 +23,8 @@ namespace obs {
 
 /// Per-phase span breakdown, all in nanoseconds. Spans a phase never entered
 /// stay 0: memo hits record no rewrite/decide time. DTD compilation is not a
-/// request phase; it happens at RegisterDtd time (the dtd_compile_ns
-/// histogram).
+/// request phase; it happens on a DTD-cache miss at registration or
+/// snapshot load (the dtd_compile_ns histogram).
 struct RequestTrace {
   uint64_t wire_decode_ns = 0;  ///< transport framing decode (0 off the wire)
   uint64_t queue_ns = 0;    ///< Submit() to worker pickup

@@ -189,8 +189,7 @@ const std::set<std::string>& LabelGraph::Closure(
   return it == closure.end() ? kEmpty : it->second;
 }
 
-RewriteCache::RewriteCache(size_t capacity, size_t num_shards)
-    : cache_(capacity, num_shards) {}
+RewriteCache::RewriteCache(size_t capacity) : cache_(capacity) {}
 
 uint64_t RewriteCache::TakeThreadRewriteNs() {
   const uint64_t taken = g_thread_rewrite_ns;

@@ -19,7 +19,7 @@
 #include <string>
 
 #include "src/automata/nfa.h"
-#include "src/util/sharded_lru_cache.h"
+#include "src/util/lru_cache.h"
 #include "src/util/status.h"
 #include "src/xml/dtd.h"
 #include "src/xml/normalize.h"
@@ -74,7 +74,7 @@ struct CompiledDtd {
   static std::shared_ptr<const CompiledDtd> Compile(const Dtd& dtd);
 };
 
-/// Sharded memo for the Prop 3.3 query rewriting f(p), keyed by (canonical
+/// LRU memo for the Prop 3.3 query rewriting f(p), keyed by (canonical
 /// query printing, Dtd::Fingerprint()).
 ///
 /// Both PTIME decision pipelines that dominate warm filter traffic —
@@ -96,9 +96,8 @@ struct CompiledDtd {
 /// freely across threads.
 class RewriteCache {
  public:
-  /// `capacity` is the aggregate entry budget; `num_shards` as in
-  /// ShardedLruCache (0 picks the hardware default, 1 gives global LRU).
-  explicit RewriteCache(size_t capacity, size_t num_shards = 0);
+  /// `capacity` is the entry budget (LRU eviction past it).
+  explicit RewriteCache(size_t capacity);
 
   /// Returns f(p) for `compiled`'s normal form, from the cache or computed
   /// (and cached) on miss. The error is RewriteForNormalizedDtd's when the
@@ -111,7 +110,6 @@ class RewriteCache {
   /// tries several deciders.
   uint64_t hits() const { return cache_.hits(); }
   uint64_t misses() const { return cache_.misses(); }
-  size_t num_shards() const { return cache_.num_shards(); }
 
   /// Returns the nanoseconds this thread has spent computing Prop 3.3
   /// rewrites (GetOrRewrite miss paths) since the last call, and resets the
@@ -128,7 +126,7 @@ class RewriteCache {
     std::shared_ptr<const Dtd> source;
     std::shared_ptr<const PathExpr> rewritten;
   };
-  ShardedLruCache<std::string, Entry> cache_;
+  LruCache<std::string, Entry> cache_;
 };
 
 /// f(p) over `compiled`'s normal form N(D), the Prop 3.3 step that starts

@@ -1,8 +1,8 @@
-// Contention stress for the sharded cache core (ISSUE 5 tentpole proof
-// harness): many threads hammering ONE engine's memo, query, and rewrite
-// caches — directly and through concurrent ServerSessions — with exact
-// stats accounting asserted at quiescence and the documented snapshot
-// invariants asserted mid-flight by a concurrent poller.
+// Contention stress for the engine's caches: many threads hammering ONE
+// engine's memo, query, and rewrite caches (one lock each) — directly and
+// through concurrent ServerSessions — with exact stats accounting asserted
+// at quiescence and the documented snapshot invariants asserted mid-flight
+// by a concurrent poller.
 //
 // This binary carries the `stress` CTest label: the TSan CI job runs it
 // with `ctest -L stress --repeat until-fail:3` (races here are load-bearing
@@ -49,13 +49,12 @@ TEST(CacheStressTest, ManyThreadsHammerOneMemoExactTotals) {
   SatEngine engine(opt);
   DtdHandle handle = engine.RegisterDtd(ParseDtdOrDie(kDtdText));
 
-  // Reference verdicts from a fresh single-shard engine (the old
-  // single-mutex layout): the sharded answers must be bit-identical.
+  // Reference verdicts from a fresh one-worker engine: the contended
+  // answers must be bit-identical.
   std::vector<SatVerdict> expected;
   {
     SatEngineOptions ref_opt;
     ref_opt.num_threads = 1;
-    ref_opt.cache_shards = 1;
     SatEngine ref(ref_opt);
     DtdHandle ref_handle = ref.RegisterDtd(ParseDtdOrDie(kDtdText));
     for (const std::string& q : StressQueries()) {

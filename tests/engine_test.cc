@@ -240,9 +240,6 @@ TEST(SatEngineTest, MemoEvictsLeastRecentlyUsed) {
   Dtd d = ParseDtdOrDie("root r\nr -> A, B*\nA -> eps\nB -> eps\n");
   SatEngineOptions opt;
   opt.memo_capacity = 2;
-  // Eviction order is LRU per shard; pin one shard so the global LRU order
-  // this test asserts is exact regardless of the host's core count.
-  opt.cache_shards = 1;
   SatEngine engine(opt);
   DtdHandle handle = engine.RegisterDtd(d);
   auto run = [&](const char* q) {
@@ -258,6 +255,29 @@ TEST(SatEngineTest, MemoEvictsLeastRecentlyUsed) {
   EXPECT_FALSE(run("C"));  // miss, insert, evicts A
   EXPECT_FALSE(run("A"));  // miss again (evicted), evicts B
   EXPECT_TRUE(run("C"));   // still resident
+}
+
+TEST(SatEngineTest, DtdCacheEvictsLeastRecentlyUsed) {
+  SatEngineOptions opt;
+  opt.dtd_cache_capacity = 2;
+  SatEngine engine(opt);
+  const Dtd a = ParseDtdOrDie("root r\nr -> A*\nA -> eps\n");
+  const Dtd b = ParseDtdOrDie("root r\nr -> B*\nB -> eps\n");
+  const Dtd c = ParseDtdOrDie("root r\nr -> C*\nC -> eps\n");
+  // Registers and drops the handle: only the cache keeps the artifacts.
+  auto hit = [&](const Dtd& d) {
+    const uint64_t before = engine.stats().dtd_cache_hits;
+    engine.RegisterDtd(d);
+    return engine.stats().dtd_cache_hits > before;
+  };
+  EXPECT_FALSE(hit(a));  // compile, insert
+  EXPECT_FALSE(hit(b));  // compile, insert
+  EXPECT_TRUE(hit(a));   // touch: b is now least recently used
+  EXPECT_FALSE(hit(c));  // compile, evicts b
+  EXPECT_TRUE(hit(a));
+  EXPECT_FALSE(hit(b));  // recompile (evicted), evicts c
+  EXPECT_TRUE(hit(a));
+  EXPECT_EQ(engine.stats().dtd_cache_misses, 4u);
 }
 
 TEST(SatEngineTest, ParseErrorsAreReportedPerRequest) {
@@ -606,7 +626,7 @@ TEST(SatEngineTest, LiveArtifactsBoundedByCacheAndHandles) {
   // queued ahead of schema i's batch, so it has run when RunBatch returns.
   opt.num_threads = 1;
   opt.dtd_cache_capacity = kCacheCapacity;
-  // Twice the entries it will hold, so no shard of the memo evicts.
+  // Room for twice the entries it will hold, so the memo never evicts.
   opt.memo_capacity = 2 * kSchemas * queries.size();
   SatEngine engine(opt);
 
@@ -867,64 +887,10 @@ TEST(RewriteCacheParity, WarmEngineMatchesColdNoMemoAcrossSeeds) {
   EXPECT_GT(rewrite_probes, 0u);
 }
 
-// Tentpole parity: the sharded cache core returns bit-identical responses
-// to the single-shard (old single-mutex) layout on randomized concurrent
-// workloads — cold rounds, warm rounds, and memo-hit rounds alike.
-TEST(ShardedCacheParity, ShardedEngineMatchesSingleShardRandomized) {
-  for (int seed = 0; seed < 6; ++seed) {
-    Rng rng(seed * 271 + 17);
-    std::vector<std::string> labels = {"A", "B", "C", "r"};
-    RandomPathOptions popt;
-    popt.allow_upward = true;
-    std::vector<Dtd> dtds;
-    for (int i = 0; i < 2; ++i) {
-      dtds.push_back(RandomDtd(&rng, rng.Percent(30), /*allow_attrs=*/true));
-    }
-
-    SatEngineOptions sharded_opt;
-    sharded_opt.num_threads = 4;
-    sharded_opt.cache_shards = 8;
-    SatEngine sharded(sharded_opt);
-    SatEngineOptions single_opt;
-    single_opt.num_threads = 4;
-    single_opt.cache_shards = 1;
-    SatEngine single(single_opt);
-    EXPECT_GT(sharded.cache_shards(), 1u);
-    EXPECT_EQ(single.cache_shards(), 1u);
-
-    std::vector<DtdHandle> sharded_handles, single_handles;
-    for (const Dtd& d : dtds) {
-      sharded_handles.push_back(sharded.RegisterDtd(d));
-      single_handles.push_back(single.RegisterDtd(d));
-    }
-    std::vector<SatRequest> sharded_batch, single_batch;
-    for (int i = 0; i < 24; ++i) {
-      size_t pick = rng.Below(dtds.size());
-      std::unique_ptr<PathExpr> p = RandomPath(&rng, labels, 3, popt);
-      SatRequest r;
-      r.query = p->ToString();
-      sharded_batch.push_back(r);
-      sharded_batch.back().dtd = sharded_handles[pick];
-      single_batch.push_back(r);
-      single_batch.back().dtd = single_handles[pick];
-    }
-    for (int pass = 0; pass < 2; ++pass) {
-      std::vector<SatResponse> a = sharded.RunBatch(sharded_batch);
-      std::vector<SatResponse> b = single.RunBatch(single_batch);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(ResponseKey(a[i]), ResponseKey(b[i]))
-            << "seed " << seed << " pass " << pass << ": "
-            << sharded_batch[i].query;
-      }
-    }
-  }
-}
-
-// Shard stress, in-suite edition (the heavyweight battery with exact stats
+// Cache stress, in-suite edition (the heavyweight battery with exact stats
 // accounting lives in tests/cache_stress_test.cc under the `stress` CTest
-// label): 8 caller threads hammer one engine's sharded memo and the shared
-// rewrite cache; every response must carry the reference verdict.
+// label): 8 caller threads hammer one engine's memo and the shared rewrite
+// cache; every response must carry the reference verdict.
 TEST(SatEngineTest, EightThreadsHammerTheShardedMemo) {
   Dtd d = ParseDtdOrDie("root r\nr -> A, B*\nA -> eps\nB -> eps\n");
   const std::vector<std::string> queries = {"A", "B",      "A/B",

@@ -1,12 +1,11 @@
-// ShardedLruCache: LRU semantics (exact with one shard, bounded with many),
-// InsertIfAbsent keep-incumbent behavior, LookupIf verification/mutation
-// under the shard lock, capacity bounds across shards, hit/miss accounting,
-// and a multithreaded hammer (the ASan and TSan CI jobs run this suite).
-#include "src/util/sharded_lru_cache.h"
+// LruCache: exact LRU eviction, InsertIfAbsent keep-incumbent behavior,
+// LookupIf verification/mutation under the lock, the capacity bound,
+// victims freed outside the lock, hit/miss accounting, and a multithreaded
+// hammer (the ASan and TSan CI jobs run this suite).
+#include "src/util/lru_cache.h"
 
 #include <atomic>
 #include <memory>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -16,9 +15,8 @@
 namespace xpathsat {
 namespace {
 
-TEST(ShardedLruCacheTest, SingleShardIsExactGlobalLru) {
-  ShardedLruCache<std::string, int> cache(2, /*num_shards=*/1);
-  ASSERT_EQ(cache.num_shards(), 1u);
+TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
+  LruCache<std::string, int> cache(2);
   cache.InsertIfAbsent("a", 1);
   cache.InsertIfAbsent("b", 2);
   EXPECT_EQ(cache.Lookup("a"), 1);   // touches a: b is now LRU
@@ -29,8 +27,8 @@ TEST(ShardedLruCacheTest, SingleShardIsExactGlobalLru) {
   EXPECT_EQ(cache.size(), 2u);
 }
 
-TEST(ShardedLruCacheTest, InsertIfAbsentKeepsTheIncumbent) {
-  ShardedLruCache<std::string, int> cache(8, 1);
+TEST(LruCacheTest, InsertIfAbsentKeepsTheIncumbent) {
+  LruCache<std::string, int> cache(8);
   EXPECT_EQ(cache.InsertIfAbsent("k", 1), 1);
   // Second insert under the same key returns the resident value unchanged.
   EXPECT_EQ(cache.InsertIfAbsent("k", 2), 1);
@@ -38,8 +36,8 @@ TEST(ShardedLruCacheTest, InsertIfAbsentKeepsTheIncumbent) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(ShardedLruCacheTest, LookupIfRejectsAndMutatesUnderTheLock) {
-  ShardedLruCache<std::string, int> cache(8, 1);
+TEST(LruCacheTest, LookupIfRejectsAndMutatesUnderTheLock) {
+  LruCache<std::string, int> cache(8);
   cache.InsertIfAbsent("k", 10);
   // Rejected hit: counts as a miss, entry stays resident.
   EXPECT_EQ(cache.LookupIf("k", [](int& v) { return v > 100; }),
@@ -66,8 +64,8 @@ TEST(ShardedLruCacheTest, LookupIfRejectsAndMutatesUnderTheLock) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST(ShardedLruCacheTest, CountsHitsAndMisses) {
-  ShardedLruCache<std::string, int> cache(8);
+TEST(LruCacheTest, CountsHitsAndMisses) {
+  LruCache<std::string, int> cache(8);
   EXPECT_EQ(cache.Lookup("nope"), std::nullopt);
   cache.InsertIfAbsent("k", 1);
   cache.Lookup("k");
@@ -77,30 +75,11 @@ TEST(ShardedLruCacheTest, CountsHitsAndMisses) {
   EXPECT_EQ(cache.misses(), 2u);
 }
 
-TEST(ShardedLruCacheTest, ShardCountRoundsUpAndClamps) {
-  using IntCache = ShardedLruCache<int, int>;
-  EXPECT_EQ(IntCache(1024, 3).num_shards(), 4u);
-  EXPECT_EQ(IntCache(1024, 64).num_shards(), 64u);
-  EXPECT_EQ(IntCache(1024, 1000).num_shards(), 64u);
-  // Shards never outnumber the capacity (each shard holds >= 1 entry) —
-  // including non-power-of-two capacities, where the power-of-two round-up
-  // must round DOWN past the capacity, not up through it.
-  EXPECT_EQ(IntCache(2, 16).num_shards(), 2u);
-  EXPECT_EQ(IntCache(1, 16).num_shards(), 1u);
-  EXPECT_EQ(IntCache(5, 5).num_shards(), 4u);
-  EXPECT_EQ(IntCache(33, 64).num_shards(), 32u);
-  // 0 = hardware default: a power of two in [1, 64].
-  size_t auto_shards = IntCache(1 << 20, 0).num_shards();
-  EXPECT_GE(auto_shards, 1u);
-  EXPECT_LE(auto_shards, 64u);
-  EXPECT_EQ(auto_shards & (auto_shards - 1), 0u);
-}
-
-TEST(ShardedLruCacheTest, AggregateSizeStaysBounded) {
+TEST(LruCacheTest, SizeStaysBounded) {
   const size_t kCapacity = 64;
-  ShardedLruCache<int, int> cache(kCapacity, 8);
+  LruCache<int, int> cache(kCapacity);
   for (int i = 0; i < 10000; ++i) cache.InsertIfAbsent(i, i);
-  EXPECT_LE(cache.size(), kCapacity);
+  EXPECT_EQ(cache.size(), kCapacity);
   // Every resident entry survives with its own value intact.
   size_t resident = 0;
   for (int i = 0; i < 10000; ++i) {
@@ -111,18 +90,17 @@ TEST(ShardedLruCacheTest, AggregateSizeStaysBounded) {
     }
   }
   EXPECT_EQ(resident, cache.size());
-  // The aggregate bound holds for awkward (non-divisible, non-power-of-two)
-  // capacities too: floor split, never over budget.
-  ShardedLruCache<int, int> odd(5, 5);
-  for (int i = 0; i < 100; ++i) odd.InsertIfAbsent(i, i);
-  EXPECT_LE(odd.size(), 5u);
-  EXPECT_GE(odd.size(), 4u);  // 4 shards x floor(5/4) = 4 usable slots
+  // Capacity 0 is clamped to one entry.
+  LruCache<int, int> tiny(0);
+  for (int i = 0; i < 100; ++i) tiny.InsertIfAbsent(i, i);
+  EXPECT_EQ(tiny.size(), 1u);
+  EXPECT_EQ(tiny.Lookup(99), 99);
 }
 
-TEST(ShardedLruCacheTest, SharedPtrValuesSurviveEviction) {
+TEST(LruCacheTest, SharedPtrValuesSurviveEviction) {
   // The engine caches shared_ptr values precisely so a reader's copy
   // outlives eviction; pin that property here.
-  ShardedLruCache<int, std::shared_ptr<int>> cache(1, 1);
+  LruCache<int, std::shared_ptr<int>> cache(1);
   std::shared_ptr<int> held = cache.InsertIfAbsent(1, std::make_shared<int>(7));
   cache.InsertIfAbsent(2, std::make_shared<int>(8));  // evicts key 1
   EXPECT_EQ(cache.Lookup(1), std::nullopt);
@@ -138,7 +116,32 @@ TEST(ShardedLruCacheTest, SharedPtrValuesSurviveEviction) {
   EXPECT_TRUE(second.expired());
 }
 
-TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
+// A victim's last reference dies after InsertIfAbsent releases the lock, so
+// its destructor may probe the same cache; destroyed under the lock, it
+// would deadlock here.
+struct ProbingValue {
+  LruCache<int, std::shared_ptr<ProbingValue>>* cache = nullptr;
+  bool* probed = nullptr;
+  ~ProbingValue() {
+    if (cache == nullptr) return;
+    cache->Lookup(0);
+    *probed = true;
+  }
+};
+
+TEST(LruCacheTest, VictimsAreDestroyedWithTheLockReleased) {
+  LruCache<int, std::shared_ptr<ProbingValue>> cache(1);
+  bool probed = false;
+  auto victim = std::make_shared<ProbingValue>();
+  victim->cache = &cache;
+  victim->probed = &probed;
+  cache.InsertIfAbsent(1, std::move(victim));
+  cache.InsertIfAbsent(2, std::make_shared<ProbingValue>());  // evicts 1
+  EXPECT_TRUE(probed);
+  EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(LruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
   // N threads insert and look up overlapping key ranges; every observed
   // value must equal the one true value for its key (InsertIfAbsent never
   // clobbers), and counters must add up to the number of probes. The TSan
@@ -146,7 +149,7 @@ TEST(ShardedLruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
   const int kThreads = 8;
   const int kKeys = 128;
   const int kRounds = 400;
-  ShardedLruCache<int, int> cache(kKeys, 8);
+  LruCache<int, int> cache(kKeys);
   std::atomic<uint64_t> probes{0};
   std::atomic<int> bad{0};
   std::vector<std::thread> workers;

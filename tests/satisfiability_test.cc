@@ -121,7 +121,7 @@ TEST(SatOptionsDigestTest, EveryFieldIsSignificant) {
   EXPECT_NE(swapped.Digest(), base);
 }
 
-// --- RewriteCache: the sharded Prop 3.3 f(p) memo --------------------------
+// --- RewriteCache: the LRU Prop 3.3 f(p) memo ------------------------------
 
 TEST(RewriteCacheTest, ServesTheExactRewriteAndHitsOnRepeat) {
   Dtd d = ParseDtdOrDie("root r\nr -> A, B*\nA -> C\nB -> eps\nC -> eps\n");

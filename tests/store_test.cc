@@ -725,6 +725,54 @@ TEST(EngineSnapshotTest, MemoWhoseSchemaWasEvictedStillRoundTrips) {
   std::remove(path.c_str());
 }
 
+// A save writes the DTD cache's schemas most recently used first, and a
+// load compiles only as many as its DTD cache keeps: the rest stay
+// uncompiled Dtds that their memo records pin, so every memo still hits.
+TEST(EngineSnapshotTest, LoadCompilesAtMostTheCacheCapacity) {
+  const std::string path = TempPath("snap_engine_capacity.xpsnap");
+  const std::vector<Dtd> dtds = {
+      MakeCatalogDtd(), ParseDtdOrDie("root r\nr -> D*\nD -> eps\n"),
+      ParseDtdOrDie("root r\nr -> E, F*\nE -> eps\nF -> eps\n")};
+  const std::vector<std::string> queries = {"section/item", "D", "E"};
+  {
+    SatEngine engine;
+    for (size_t i = 0; i < dtds.size(); ++i) {
+      SatRequest r;
+      r.query = queries[i];
+      r.dtd = engine.RegisterDtd(dtds[i]);
+      ASSERT_TRUE(engine.Run(r).status.ok()) << queries[i];
+    }
+    SnapshotSaveResult saved = engine.SaveSnapshot(path);
+    ASSERT_TRUE(saved.status.ok()) << saved.status.message();
+    EXPECT_EQ(saved.dtds_saved, 3u);
+    EXPECT_EQ(saved.memos_saved, 3u);
+  }
+  SatEngineOptions opt;
+  opt.dtd_cache_capacity = 1;
+  SatEngine engine(opt);
+  SnapshotLoadResult loaded = engine.LoadSnapshot(path);
+  ASSERT_TRUE(loaded.status.ok()) << loaded.status.message();
+  EXPECT_EQ(loaded.dtds_loaded, 3u);
+  EXPECT_EQ(loaded.memos_loaded, 3u);
+  const obs::Histogram* compiles =
+      engine.metrics().FindHistogram("dtd_compile_ns");
+  ASSERT_NE(compiles, nullptr);
+  EXPECT_EQ(compiles->TakeSnapshot().count, 1u);
+  // The saver's most recently used schema is the one the load cached.
+  for (size_t i : {2, 0, 1}) {
+    const uint64_t hits_before = engine.stats().dtd_cache_hits;
+    SatRequest r;
+    r.query = queries[i];
+    r.dtd = engine.RegisterDtd(dtds[i]);
+    EXPECT_EQ(engine.stats().dtd_cache_hits > hits_before, i == 2) << i;
+    SatResponse resp = engine.Run(r);
+    ASSERT_TRUE(resp.status.ok()) << queries[i];
+    EXPECT_TRUE(resp.memo_hit) << queries[i];
+  }
+  EXPECT_EQ(compiles->TakeSnapshot().count, 3u);
+  std::remove(path.c_str());
+}
+
 TEST(EngineSnapshotTest, SaveIntoUnwritableDirectoryFailsCleanly) {
   SatEngine engine;
   SnapshotSaveResult saved =
