@@ -7,7 +7,9 @@
 //   A4: Thm 7.1  sibling-chain NFA procedure
 // The decide series time the decider alone over a DTD compiled before the
 // loop; the *_Compile series time CompiledDtd::Compile on the same DTD
-// families, so the per-DTD setup cost stays visible.
+// families, so the per-DTD setup cost stays visible. The A1 and A2 series
+// take N = the DTD's chain depth (|D| and |p| both grow with it) and print
+// Google Benchmark's least-squares big-O fit and its RMS.
 #include <benchmark/benchmark.h>
 
 #include "bench/bench_util.h"
@@ -56,11 +58,12 @@ void BM_A1_ReachDp(benchmark::State& state) {
     Result<SatDecision> r = ReachSat(*p, *compiled);
     BenchCheck(r.ok() && r.value().sat(), "deep chain must be satisfiable");
   }
+  state.SetComplexityN(depth);
   state.counters["dtd_size"] = d.Size();
   state.counters["query_size"] = p->Size();
 }
 
-BENCHMARK(BM_A1_ReachDp)->RangeMultiplier(2)->Range(8, 256)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_A1_ReachDp)->RangeMultiplier(2)->Range(8, 256)->Unit(benchmark::kMicrosecond)->Complexity();
 
 // Compile cost of one DTD family, swept like the matching decide series.
 void RunCompile(benchmark::State& state, Dtd (*family)(int)) {
@@ -68,12 +71,13 @@ void RunCompile(benchmark::State& state, Dtd (*family)(int)) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(CompiledDtd::Compile(d));
   }
+  state.SetComplexityN(state.range(0));
   state.counters["dtd_size"] = d.Size();
 }
 
 void BM_A1_Compile(benchmark::State& state) { RunCompile(state, &DeepDtd); }
 
-BENCHMARK(BM_A1_Compile)->RangeMultiplier(2)->Range(8, 256)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_A1_Compile)->RangeMultiplier(2)->Range(8, 256)->Unit(benchmark::kMicrosecond)->Complexity();
 
 Dtd DjfreeDeepDtd(int depth) {
   Dtd d;
@@ -107,17 +111,18 @@ void BM_A2_DisjunctionFreeDp(benchmark::State& state) {
     Result<SatDecision> r = DisjunctionFreeSat(*p, *compiled);
     BenchCheck(r.ok() && r.value().sat(), "spine qualifiers must be sat");
   }
+  state.SetComplexityN(depth);
   state.counters["dtd_size"] = d.Size();
   state.counters["query_size"] = p->Size();
 }
 
-BENCHMARK(BM_A2_DisjunctionFreeDp)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_A2_DisjunctionFreeDp)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond)->Complexity();
 
 void BM_A2_Compile(benchmark::State& state) {
   RunCompile(state, &DjfreeDeepDtd);
 }
 
-BENCHMARK(BM_A2_Compile)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_A2_Compile)->RangeMultiplier(2)->Range(8, 128)->Unit(benchmark::kMicrosecond)->Complexity();
 
 void BM_A3_NoDtdDp(benchmark::State& state) {
   int width = static_cast<int>(state.range(0));

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -14,107 +14,78 @@ namespace xpathsat {
 
 namespace {
 
-// Does L(re) contain a word with an occurrence of `target` in which every
-// symbol is terminating? This is the exact condition for `target` to appear
-// as a child of an A element (with P(A) = re) in some conforming tree
-// (Thm 4.1 edge relation).
-bool HasWordContaining(const Regex& re, const std::string& target,
-                       const std::set<std::string>& term) {
-  // usable(r): L(r) has a word whose symbols all terminate.
-  std::function<bool(const Regex&)> usable = [&](const Regex& r) -> bool {
-    switch (r.kind()) {
-      case Regex::Kind::kEpsilon:
-        return true;
-      case Regex::Kind::kSymbol:
-        return term.count(r.symbol()) > 0;
-      case Regex::Kind::kConcat: {
-        for (const Regex& c : r.children()) {
-          if (!usable(c)) return false;
-        }
-        return true;
-      }
-      case Regex::Kind::kUnion: {
-        for (const Regex& c : r.children()) {
-          if (usable(c)) return true;
-        }
-        return false;
-      }
-      case Regex::Kind::kStar:
-        return true;
+// Sets in `row` every symbol B with an occurrence in some word of L(re)
+// whose symbols all terminate: exactly the B that can be a child of an
+// element with content model `re` in a conforming tree (Thm 4.1 edge
+// relation). Returns whether L(re) has such a word at all; when it has
+// none, `row` is left as it was.
+bool RealizableChildren(const Regex& re, const LabelGraph& g, uint64_t* row) {
+  switch (re.kind()) {
+    case Regex::Kind::kEpsilon:
+      return true;
+    case Regex::Kind::kSymbol: {
+      const int b = g.Id(re.symbol());
+      if (b < 0 || !LabelGraph::Test(g.terminating.data(), b)) return false;
+      LabelGraph::Set(row, b);
+      return true;
     }
-    return false;
-  };
-  // with(r): such a word containing an occurrence of `target`.
-  std::function<bool(const Regex&)> with = [&](const Regex& r) -> bool {
-    switch (r.kind()) {
-      case Regex::Kind::kEpsilon:
-        return false;
-      case Regex::Kind::kSymbol:
-        return r.symbol() == target && term.count(target) > 0;
-      case Regex::Kind::kConcat: {
-        for (size_t i = 0; i < r.children().size(); ++i) {
-          if (!with(r.children()[i])) continue;
-          bool rest_ok = true;
-          for (size_t j = 0; j < r.children().size(); ++j) {
-            if (j != i && !usable(r.children()[j])) {
-              rest_ok = false;
-              break;
-            }
-          }
-          if (rest_ok) return true;
-        }
-        return false;
+    case Regex::Kind::kConcat: {
+      std::vector<uint64_t> part(g.words, 0);
+      for (const Regex& c : re.children()) {
+        if (!RealizableChildren(c, g, part.data())) return false;
       }
-      case Regex::Kind::kUnion: {
-        for (const Regex& c : r.children()) {
-          if (with(c)) return true;
-        }
-        return false;
-      }
-      case Regex::Kind::kStar:
-        return with(r.children()[0]);
+      for (size_t w = 0; w < g.words; ++w) row[w] |= part[w];
+      return true;
     }
-    return false;
-  };
-  return with(re);
-}
-
-// Reflexive-transitive closure of `edges` over the keys of `closure` (which
-// must be pre-seeded with {a} per terminating type a).
-void CloseReflexiveTransitive(
-    const std::map<std::string, std::set<std::string>>& edges,
-    std::map<std::string, std::set<std::string>>* closure) {
-  for (auto& [a, r] : *closure) {
-    std::vector<std::string> stack = {a};
-    while (!stack.empty()) {
-      std::string cur = stack.back();
-      stack.pop_back();
-      auto it = edges.find(cur);
-      if (it == edges.end()) continue;
-      for (const std::string& b : it->second) {
-        if (r.insert(b).second) stack.push_back(b);
+    case Regex::Kind::kUnion: {
+      bool any = false;
+      for (const Regex& c : re.children()) {
+        any = RealizableChildren(c, g, row) || any;
       }
+      return any;
     }
+    case Regex::Kind::kStar:
+      RealizableChildren(re.children()[0], g, row);
+      return true;
   }
+  return false;
 }
 
-// The label graph of `dtd` over its terminating types: an edge A -> B for
-// every symbol B of P(A) that `realizable(P(A), B, terminating)` admits,
-// plus the reflexive-transitive closure.
-template <typename EdgeRule>
-LabelGraph BuildLabelGraph(const Dtd& dtd, EdgeRule realizable) {
+// The label graph of `dtd` over its terminating types (the edges
+// RealizableChildren admits) and its reflexive-transitive closure.
+LabelGraph BuildLabelGraph(const Dtd& dtd) {
   LabelGraph g;
-  g.terminating = dtd.TerminatingTypes();
-  for (const ElementType& t : dtd.types()) {
-    if (!g.terminating.count(t.name)) continue;
-    std::set<std::string> syms;
-    t.content.CollectSymbols(&syms);
-    for (const std::string& b : syms) {
-      if (realizable(t.content, b, g.terminating)) g.edges[t.name].insert(b);
-    }
-    g.closure[t.name].insert(t.name);
+  g.names = dtd.TypeNames();
+  std::sort(g.names.begin(), g.names.end());
+  const int n = static_cast<int>(g.names.size());
+  g.words = (g.names.size() + 63) / 64;
+  g.terminating.assign(g.words, 0);
+  for (const std::string& t : dtd.TerminatingTypes()) {
+    LabelGraph::Set(g.terminating.data(), g.Id(t));
   }
-  CloseReflexiveTransitive(g.edges, &g.closure);
+  g.edges.assign(g.names.size() * g.words, 0);
+  for (const ElementType& t : dtd.types()) {
+    const int a = g.Id(t.name);
+    if (LabelGraph::Test(g.terminating.data(), a)) {
+      RealizableChildren(t.content, g, g.edges.data() + a * g.words);
+    }
+  }
+  // Warshall over rows: once pivot k is done, row i holds every label
+  // reachable from i through intermediates <= k.
+  g.closure = g.edges;
+  for (int a = 0; a < n; ++a) {
+    if (LabelGraph::Test(g.terminating.data(), a)) {
+      LabelGraph::Set(g.closure.data() + a * g.words, a);
+    }
+  }
+  for (int k = 0; k < n; ++k) {
+    const uint64_t* pivot = g.closure.data() + k * g.words;
+    for (int i = 0; i < n; ++i) {
+      uint64_t* row = g.closure.data() + i * g.words;
+      if (i == k || !LabelGraph::Test(row, k)) continue;
+      for (size_t w = 0; w < g.words; ++w) row[w] |= pivot[w];
+    }
+  }
   return g;
 }
 
@@ -122,15 +93,15 @@ LabelGraph BuildLabelGraph(const Dtd& dtd, EdgeRule realizable) {
 // restricted to terminating symbols (only those children can exist in a
 // conforming tree).
 std::map<std::string, Nfa> BuildTerminatingRestrictedNfas(
-    const Dtd& dtd, const std::set<std::string>& terminating) {
+    const Dtd& dtd, const LabelGraph& graph) {
   std::map<std::string, Nfa> nfas;
   for (const ElementType& t : dtd.types()) {
-    if (!terminating.count(t.name)) continue;
+    if (!graph.IsTerminating(t.name)) continue;
     Nfa nfa = BuildGlushkov(t.content);
     for (auto& out : nfa.trans) {
       out.erase(std::remove_if(out.begin(), out.end(),
                                [&](const std::pair<std::string, int>& e) {
-                                 return !terminating.count(e.first);
+                                 return !graph.IsTerminating(e.first);
                                }),
                 out.end());
     }
@@ -176,17 +147,26 @@ Result<std::shared_ptr<const PathExpr>> Rewrite(const PathExpr& p,
 
 }  // namespace
 
-const std::set<std::string>& LabelGraph::Edges(const std::string& type) const {
-  static const std::set<std::string> kEmpty;
-  auto it = edges.find(type);
-  return it == edges.end() ? kEmpty : it->second;
+int LabelGraph::Id(const std::string& name) const {
+  auto it = std::lower_bound(names.begin(), names.end(), name);
+  return it != names.end() && *it == name ? static_cast<int>(it - names.begin())
+                                          : -1;
 }
 
-const std::set<std::string>& LabelGraph::Closure(
-    const std::string& type) const {
-  static const std::set<std::string> kEmpty;
-  auto it = closure.find(type);
-  return it == closure.end() ? kEmpty : it->second;
+bool LabelGraph::IsTerminating(const std::string& name) const {
+  const int id = Id(name);
+  return id >= 0 && Test(terminating.data(), id);
+}
+
+int LabelGraph::Next(const uint64_t* row, int from) const {
+  size_t w = static_cast<size_t>(from) / 64;
+  if (w >= words) return -1;
+  uint64_t bits = row[w] & (~uint64_t{0} << (from % 64));
+  while (bits == 0) {
+    if (++w == words) return -1;
+    bits = row[w];
+  }
+  return static_cast<int>(w * 64) + __builtin_ctzll(bits);
 }
 
 RewriteCache::RewriteCache(size_t capacity) : cache_(capacity) {}
@@ -238,19 +218,14 @@ CompiledDtd::CompiledDtd(Dtd source)
 std::shared_ptr<const CompiledDtd> CompiledDtd::Compile(const Dtd& dtd) {
   auto cd = std::make_shared<CompiledDtd>(dtd);
   cd->disjunction_free = dtd.IsDisjunctionFree();
-  cd->graph = BuildLabelGraph(dtd, HasWordContaining);
+  cd->graph = BuildLabelGraph(dtd);
   cd->min_sizes = MinimalExpansionSizes(dtd);
-  cd->content_nfas = BuildTerminatingRestrictedNfas(dtd, cd->graph.terminating);
+  cd->content_nfas = BuildTerminatingRestrictedNfas(dtd, cd->graph);
   cd->norm = NormalizeDtd(dtd);
-  if (cd->disjunction_free) {
-    // Normalized disjunction-free: concat children are mandatory (so all
-    // terminate if the parent does); star children exist iff terminating.
-    cd->norm_graph = BuildLabelGraph(
-        cd->norm.dtd, [](const Regex&, const std::string& b,
-                         const std::set<std::string>& term) {
-          return term.count(b) > 0;
-        });
-  }
+  // Over N(D) of a disjunction-free D the rule reads: concat children are
+  // mandatory (so all terminate if the parent does), star children exist
+  // iff they terminate.
+  if (cd->disjunction_free) cd->norm_graph = BuildLabelGraph(cd->norm.dtd);
   return cd;
 }
 

@@ -9,14 +9,20 @@
 // path: compile once, decide many. It is also the only way in: every
 // decider takes a CompiledDtd, and DecideSatisfiability(p, dtd) is Compile
 // followed by the same dispatch.
+//
+// The label graphs are over dense label ids, not names: terminating types,
+// edges and closure are bitset rows, so the Thm 4.1 and Thm 6.8(1) DPs
+// (ReachTable in reach_sat.h) combine 64 labels per word operation and each
+// graph is a few flat vectors. Names come back only where a witness is
+// realized.
 #ifndef XPATHSAT_SAT_COMPILED_DTD_H_
 #define XPATHSAT_SAT_COMPILED_DTD_H_
 
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "src/automata/nfa.h"
 #include "src/util/lru_cache.h"
@@ -29,20 +35,37 @@ namespace xpathsat {
 class PathExpr;
 
 /// The DTD graph restricted to realizable children, plus its
-/// reflexive-transitive closure over terminating types.
+/// reflexive-transitive closure over terminating types, over dense label ids.
+/// Id i is the i-th declared type in name order, so walking a row's bits
+/// upward visits labels in the order a std::set of their names would. A row
+/// is `words` words, bit i in word i / 64; `edges` and `closure` hold one
+/// row per id, back to back. Immutable once built: safe to share.
 struct LabelGraph {
-  std::set<std::string> terminating;
-  std::map<std::string, std::set<std::string>> edges;
-  std::map<std::string, std::set<std::string>> closure;
+  std::vector<std::string> names;     ///< id -> name, sorted
+  size_t words = 0;                   ///< words per row
+  std::vector<uint64_t> terminating;  ///< one row
+  std::vector<uint64_t> edges;        ///< row a: realizable children of a
+  std::vector<uint64_t> closure;      ///< row a: reachable from a, a included
 
-  /// Edge / closure lookups that never mutate (safe to share across threads).
-  const std::set<std::string>& Edges(const std::string& type) const;
-  const std::set<std::string>& Closure(const std::string& type) const;
+  /// Id of a declared type, or -1 (binary search over `names`).
+  int Id(const std::string& name) const;
+  bool IsTerminating(const std::string& name) const;
+  const uint64_t* Edges(int id) const { return edges.data() + id * words; }
+  const uint64_t* Closure(int id) const { return closure.data() + id * words; }
+  /// The least id >= `from` set in `row`, or -1.
+  int Next(const uint64_t* row, int from) const;
+
+  static bool Test(const uint64_t* row, int id) {
+    return (row[id / 64] >> (id % 64)) & 1;
+  }
+  static void Set(uint64_t* row, int id) {
+    row[id / 64] |= uint64_t{1} << (id % 64);
+  }
 };
 
 /// Immutable bundle of per-DTD artifacts. Compile once (O(|D|) up to the
-/// closure computation), then share across queries and threads via
-/// shared_ptr<const CompiledDtd>.
+/// closure, n²·n/64 word operations for n types), then share across queries
+/// and threads via shared_ptr<const CompiledDtd>.
 struct CompiledDtd {
   /// Sets `shared_dtd`, `dtd` and `fingerprint`; the artifacts below are
   /// left for Compile to fill in.
@@ -58,7 +81,8 @@ struct CompiledDtd {
   uint64_t fingerprint;  ///< Dtd::Fingerprint() of `dtd` (the cache key)
   bool disjunction_free = false;
 
-  /// Thm 4.1 artifacts: realizable-child graph + closure (general DTDs).
+  /// Thm 4.1 artifacts: realizable-child graph + closure (general DTDs),
+  /// ids over dtd's types.
   LabelGraph graph;
   /// Per-type minimal conforming subtree sizes (witness realization).
   std::map<std::string, long long> min_sizes;
@@ -67,8 +91,8 @@ struct CompiledDtd {
   std::map<std::string, Nfa> content_nfas;
   /// Prop 3.3 normal form N(D) (used by Thm 6.8(1) and Thm 4.4).
   NormalizedDtd norm;
-  /// Graph of norm.dtd under the normalized disjunction-free edge rule;
-  /// only populated when disjunction_free.
+  /// The same graph of norm.dtd, ids over its types (Thm 6.8(1)); only
+  /// populated when disjunction_free.
   LabelGraph norm_graph;
 
   static std::shared_ptr<const CompiledDtd> Compile(const Dtd& dtd);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 
 #include "src/automata/nfa.h"
 
@@ -78,11 +79,11 @@ class SiblingSolver {
   SiblingSolver(const CompiledDtd& compiled, const std::vector<Group>& groups)
       : dtd_(compiled.dtd),
         groups_(groups),
-        term_(compiled.graph.terminating),
+        graph_(compiled.graph),
         nfas_(compiled.content_nfas) {}
 
   bool Solve() {
-    if (!term_.count(dtd_.root())) return false;
+    if (!graph_.IsTerminating(dtd_.root())) return false;
     return SatFrom(0, dtd_.root());
   }
 
@@ -103,7 +104,7 @@ class SiblingSolver {
       ok = LevelFeasible(a, g, nullptr);
     } else {
       for (const auto& t : dtd_.types()) {
-        if (!term_.count(t.name)) continue;
+        if (!graph_.IsTerminating(t.name)) continue;
         if (LevelFeasible(a, g, &t.name) && SatFrom(i + 1, t.name)) {
           ok = true;
           break;
@@ -230,7 +231,7 @@ class SiblingSolver {
 
   const Dtd& dtd_;
   const std::vector<Group>& groups_;
-  const std::set<std::string>& term_;
+  const LabelGraph& graph_;
   const std::map<std::string, Nfa>& nfas_;
   std::map<std::pair<size_t, std::string>, bool> memo_;
 };

@@ -5,6 +5,13 @@
 // property_test and the per-decider suites.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "src/automata/nfa.h"
 #include "src/sat/compiled_dtd.h"
 #include "src/sat/djfree_sat.h"
 #include "src/sat/reach_sat.h"
@@ -17,6 +24,22 @@
 namespace xpathsat {
 namespace {
 
+// The labels of a LabelGraph row, by name.
+std::set<std::string> Labels(const LabelGraph& g, const uint64_t* row) {
+  std::set<std::string> out;
+  for (int id = 0; (id = g.Next(row, id)) >= 0; ++id) out.insert(g.names[id]);
+  return out;
+}
+
+std::set<std::string> EdgesOf(const LabelGraph& g, const std::string& type) {
+  return Labels(g, g.Edges(g.Id(type)));
+}
+
+std::set<std::string> ClosureOf(const LabelGraph& g,
+                                const std::string& type) {
+  return Labels(g, g.Closure(g.Id(type)));
+}
+
 TEST(CompiledDtdTest, FieldsMatchTheSourceDtd) {
   Dtd d = ParseDtdOrDie(
       "root r\nr -> A, B*\nA -> C*\nB -> eps\nC -> C\n"
@@ -26,16 +49,17 @@ TEST(CompiledDtdTest, FieldsMatchTheSourceDtd) {
   ASSERT_NE(cd->shared_dtd, nullptr);
   EXPECT_TRUE(cd->shared_dtd->EquivalentTo(d));
   EXPECT_EQ(cd->disjunction_free, d.IsDisjunctionFree());
-  EXPECT_EQ(cd->graph.terminating, d.TerminatingTypes());
+  EXPECT_EQ(Labels(cd->graph, cd->graph.terminating.data()),
+            d.TerminatingTypes());
   // C never terminates: no NFA, no graph node, no minimal size for it.
   EXPECT_EQ(cd->content_nfas.count("C"), 0u);
   EXPECT_EQ(cd->min_sizes.count("C"), 0u);
   EXPECT_EQ(cd->content_nfas.count("r"), 1u);
   // A terminates (the star can be empty), but its only mentioned child C is
   // nonterminating, so A has no realizable edge.
-  EXPECT_EQ(cd->graph.terminating.count("A"), 1u);
-  EXPECT_TRUE(cd->graph.Edges("A").empty());
-  EXPECT_TRUE(cd->graph.Edges("r").count("A"));
+  EXPECT_TRUE(cd->graph.IsTerminating("A"));
+  EXPECT_TRUE(EdgesOf(cd->graph, "A").empty());
+  EXPECT_TRUE(EdgesOf(cd->graph, "r").count("A"));
 }
 
 TEST(CompiledDtdTest, RealizableEdgesRespectNontermination) {
@@ -43,10 +67,133 @@ TEST(CompiledDtdTest, RealizableEdgesRespectNontermination) {
   // the realizable edge exists because the other branch works.
   Dtd d = ParseDtdOrDie("root r\nr -> (B, C) + B\nB -> eps\nC -> C\n");
   auto cd = CompiledDtd::Compile(d);
-  EXPECT_TRUE(cd->graph.Edges("r").count("B"));
-  EXPECT_FALSE(cd->graph.Edges("r").count("C"));
+  EXPECT_TRUE(EdgesOf(cd->graph, "r").count("B"));
+  EXPECT_FALSE(EdgesOf(cd->graph, "r").count("C"));
   // And closure is reflexive.
-  EXPECT_TRUE(cd->graph.Closure("r").count("r"));
+  EXPECT_TRUE(ClosureOf(cd->graph, "r").count("r"));
+}
+
+// Reference label graph over names: std::map/std::set rows, closure by a
+// depth-first search per type. Its edge rule is
+// independent of compiled_dtd.cc's: B is a realizable child of a
+// terminating A iff the Glushkov automaton of P(A) has a B transition on an
+// accepting run over terminating symbols. Over a normalized
+// disjunction-free DTD that is "B terminates", the norm_graph rule.
+struct StringSetGraph {
+  std::set<std::string> terminating;
+  std::map<std::string, std::set<std::string>> edges;
+  std::map<std::string, std::set<std::string>> closure;
+};
+
+StringSetGraph BuildStringSetGraph(const Dtd& dtd) {
+  StringSetGraph g;
+  g.terminating = dtd.TerminatingTypes();
+  for (const ElementType& t : dtd.types()) {
+    if (!g.terminating.count(t.name)) continue;
+    const Nfa nfa = BuildGlushkov(t.content);
+    // Forward reachability from the start state and backward reachability
+    // from the accepting states, over terminating symbols only.
+    std::vector<bool> from_start(nfa.num_states), to_accept(nfa.accepting);
+    from_start[nfa.start] = true;
+    for (bool changed = true; changed;) {
+      changed = false;
+      for (int q = 0; q < nfa.num_states; ++q) {
+        for (const auto& [sym, r] : nfa.trans[q]) {
+          if (!g.terminating.count(sym)) continue;
+          if (from_start[q] && !from_start[r]) changed = from_start[r] = true;
+          if (to_accept[r] && !to_accept[q]) changed = to_accept[q] = true;
+        }
+      }
+    }
+    for (int q = 0; q < nfa.num_states; ++q) {
+      for (const auto& [sym, r] : nfa.trans[q]) {
+        if (from_start[q] && to_accept[r] && g.terminating.count(sym)) {
+          g.edges[t.name].insert(sym);
+        }
+      }
+    }
+    g.closure[t.name].insert(t.name);
+  }
+  for (auto& [a, reach] : g.closure) {
+    std::vector<std::string> stack = {a};
+    while (!stack.empty()) {
+      const std::string cur = stack.back();
+      stack.pop_back();
+      for (const std::string& b : g.edges[cur]) {
+        if (reach.insert(b).second) stack.push_back(b);
+      }
+    }
+  }
+  return g;
+}
+
+void ExpectMatchesReference(const LabelGraph& got, const Dtd& dtd) {
+  StringSetGraph want = BuildStringSetGraph(dtd);
+  std::vector<std::string> names = dtd.TypeNames();
+  std::sort(names.begin(), names.end());
+  ASSERT_EQ(got.names, names) << dtd.ToString();
+  for (const std::string& name : names) {
+    EXPECT_EQ(got.IsTerminating(name), want.terminating.count(name) > 0)
+        << name << "\n" << dtd.ToString();
+    EXPECT_EQ(EdgesOf(got, name), want.edges[name])
+        << name << "\n" << dtd.ToString();
+    EXPECT_EQ(ClosureOf(got, name), want.closure[name])
+        << name << "\n" << dtd.ToString();
+  }
+}
+
+// n types t0..t{n-1} (n > 64, so a row spans several words; names sort
+// apart from declaration order) with random concatenations of mandatory,
+// starred, starred-pair and (unless disjunction-free) two-way union
+// children. Mandatory references go anywhere, so some types never
+// terminate, and a starred pair with a nonterminating half admits neither.
+Dtd WideRandomDtd(Rng* rng, int n, bool disjunction) {
+  auto name = [](int i) { return "t" + std::to_string(i); };
+  Dtd d;
+  for (int i = 0; i < n; ++i) {
+    std::vector<Regex> parts;
+    for (int k = rng->IntIn(0, 3); k > 0; --k) {
+      Regex sym = Regex::Symbol(name(rng->IntIn(0, n - 1)));
+      Regex other = Regex::Symbol(name(rng->IntIn(0, n - 1)));
+      switch (rng->IntIn(0, disjunction ? 3 : 2)) {
+        case 0:
+          parts.push_back(std::move(sym));
+          break;
+        case 1:
+          parts.push_back(Regex::Star(std::move(sym)));
+          break;
+        case 2:
+          parts.push_back(Regex::Star(
+              Regex::Concat({std::move(sym), std::move(other)})));
+          break;
+        default:
+          parts.push_back(Regex::Union({std::move(sym), std::move(other)}));
+          break;
+      }
+    }
+    d.SetProduction(name(i), parts.empty()
+                                 ? Regex::Epsilon()
+                                 : Regex::Concat(std::move(parts)));
+  }
+  d.SetRoot(name(0));
+  return d;
+}
+
+TEST(CompiledDtdTest, BitsetGraphsMatchStringSetReference) {
+  int norm_graphs = 0;
+  for (int seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    std::vector<Dtd> dtds = {RandomDtd(&rng, false), RandomDtd(&rng, true),
+                             WideRandomDtd(&rng, 65 + seed * 3, seed % 2)};
+    for (const Dtd& d : dtds) {
+      auto cd = CompiledDtd::Compile(d);
+      ExpectMatchesReference(cd->graph, d);
+      if (!cd->disjunction_free) continue;
+      ExpectMatchesReference(cd->norm_graph, cd->norm.dtd);
+      ++norm_graphs;
+    }
+  }
+  EXPECT_GT(norm_graphs, 20);
 }
 
 // --- Artifact reuse and snapshot parity ------------------------------------

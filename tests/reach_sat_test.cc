@@ -37,6 +37,34 @@ TEST(ReachSatTest, SimpleSatWithWitness) {
   }
 }
 
+// Tree(p, D) picks the least label of reach(p, r), scans kSeq midpoints and
+// breadth-first DTD-graph successors in name order. The types here are
+// declared out of name order, so a decider that walked declaration order
+// (or hash order) would print a different witness.
+TEST(ReachSatTest, WitnessAndReasonArePinned) {
+  Dtd d = ParseDtdOrDie(
+      "root r\nr -> (Z + M + A)*, Q\nZ -> K\nM -> K + Y\nA -> Y*\n"
+      "Y -> K + eps\nK -> eps\nQ -> eps\n");
+  auto cd = CompiledDtd::Compile(d);
+  const std::pair<const char*, const char*> kPinned[] = {
+      {"**/K", "<r><M><K/></M><Q/></r>"},
+      {"*/*|Q", "<r><M><K/></M><Q/></r>"},
+      {"**/Y/K", "<r><A><Y><K/></Y></A><Q/></r>"},
+      {"**", "<r><A/><Q/></r>"},
+  };
+  for (const auto& [q, want] : kPinned) {
+    Result<SatDecision> r = ReachSat(*Path(q), *cd);
+    ASSERT_TRUE(r.ok()) << q;
+    ASSERT_TRUE(r.value().witness.has_value()) << q;
+    EXPECT_EQ(r.value().note, "Thm 4.1 reach DP") << q;
+    EXPECT_EQ(r.value().witness->ToString(), want) << q;
+  }
+  Result<SatDecision> r = ReachSat(*Path("Q/K"), *cd);
+  ASSERT_TRUE(r.ok());
+  EXPECT_TRUE(r.value().unsat());
+  EXPECT_EQ(r.value().note, "reach(p, r) is empty");
+}
+
 TEST(ReachSatTest, RecursiveDtd) {
   Dtd d = ParseDtdOrDie("root r\nr -> A\nA -> (A + eps), B\nB -> eps\n");
   auto cd = CompiledDtd::Compile(d);

@@ -486,6 +486,8 @@ TEST(EngineSnapshotTest, SaveLoadRoundTripWarmsCachesAndMemo) {
 }
 
 void ExpectLabelGraphEq(const LabelGraph& a, const LabelGraph& b) {
+  EXPECT_EQ(a.names, b.names);
+  EXPECT_EQ(a.words, b.words);
   EXPECT_EQ(a.terminating, b.terminating);
   EXPECT_EQ(a.edges, b.edges);
   EXPECT_EQ(a.closure, b.closure);
