@@ -199,20 +199,13 @@ SatEngineOptions SatEngine::Normalize(SatEngineOptions options) {
   return options;
 }
 
-// The caches skip their own probe counters (count_probes = false): the
-// engine's registry counts each request once, and a second contended
-// counter per probe would only serialize the hot path.
 SatEngine::SatEngine(const SatEngineOptions& options)
     : options_(Normalize(options)),
-      dtd_cache_(options_.dtd_cache_capacity, /*count_probes=*/false),
-      query_cache_(kQueryCacheCapacity, /*count_probes=*/false),
+      dtd_cache_(options_.dtd_cache_capacity),
+      query_cache_(kQueryCacheCapacity),
       // A disabled memo (capacity 0) is a one-entry cache that the
       // memo_enabled gate in Execute never touches.
-      memo_(options_.memo_capacity, /*count_probes=*/false),
-      rewrite_cache_(options_.rewrite_cache_capacity > 0
-                         ? std::make_unique<RewriteCache>(
-                               options_.rewrite_cache_capacity)
-                         : nullptr),
+      memo_(options_.memo_capacity),
       metrics_(std::make_shared<obs::MetricsRegistry>()),
       live_handles_(metrics_, metrics_->gauge("live_dtd_handles")),
       live_artifacts_(metrics_, metrics_->gauge("live_compiled_artifacts")),
@@ -271,15 +264,10 @@ std::shared_ptr<const CompiledDtd> SatEngine::LookupDtd(const Dtd& dtd,
   std::shared_ptr<const CompiledDtd> compiled =
       Track(CompiledDtd::Compile(dtd));
   hist_dtd_compile_ns_->Record(ToNs(Clock::now() - compile_start));
-  std::vector<std::shared_ptr<const CompiledDtd>> evicted;
+  // An evicted artifact no handle holds dies inside this insert, on this
+  // thread, after the cache lock is released.
   std::shared_ptr<const CompiledDtd> resident =
-      dtd_cache_.InsertIfAbsent(fp, compiled, &evicted);
-  if (!evicted.empty()) {
-    // An evicted artifact no handle holds dies here, and freeing its label
-    // graphs and NFAs costs about what a decide does: a worker pays for it,
-    // so the registration that evicted it does not wait.
-    pool_.Submit([dead = std::move(evicted)]() mutable { dead.clear(); });
-  }
+      dtd_cache_.InsertIfAbsent(fp, compiled);
   if (resident != compiled) {
     if (resident->dtd.EquivalentTo(dtd)) {
       if (hit) *hit = true;  // raced: someone else filled it first
@@ -300,10 +288,6 @@ std::shared_ptr<const CompiledDtd> SatEngine::Track(
   live_artifacts_->Add(1);
   const CompiledDtd* artifact = owner->compiled.get();
   return std::shared_ptr<const CompiledDtd>(std::move(owner), artifact);
-}
-
-std::shared_ptr<const CompiledDtd> SatEngine::CompileAndCache(const Dtd& dtd) {
-  return LookupDtd(dtd, dtd.Fingerprint(), nullptr);
 }
 
 DtdHandle SatEngine::RegisterDtd(const Dtd& dtd) {
@@ -461,7 +445,7 @@ SatResponse SatEngine::Execute(const SatRequest& request,
       // equality is the fast path (handles share one CompiledDtd, and so
       // one shared_dtd); the structural check only runs after an
       // eviction+recompile, and then refreshes the pin so subsequent hits
-      // take the fast path again — RewriteCache::GetOrRewrite's rule.
+      // take the fast path again.
       if (entry.dtd != compiled->shared_dtd) {
         if (!entry.dtd->EquivalentTo(compiled->dtd)) return false;
         entry.dtd = compiled->shared_dtd;
@@ -483,16 +467,16 @@ SatResponse SatEngine::Execute(const SatRequest& request,
 
   // Reset this thread's rewrite accumulator so the span below is exactly
   // this request's Prop 3.3 work (a sub-span of decide_ns).
-  RewriteCache::TakeThreadRewriteNs();
+  TakeThreadRewriteNs();
   Clock::time_point start = Clock::now();
   resp.report = DecideSatisfiability(*query->ast, query->features, *compiled,
-                                     request.options, rewrite_cache_.get());
+                                     request.options);
   const Clock::time_point decided = Clock::now();
   resp.elapsed_us =
       std::chrono::duration<double, std::micro>(decided - start).count();
   resp.status = Status::Ok();
   resp.trace.decide_ns = ToNs(decided - start);
-  resp.trace.rewrite_ns = RewriteCache::TakeThreadRewriteNs();
+  resp.trace.rewrite_ns = TakeThreadRewriteNs();
   resp.trace.route = resp.report.algorithm;
 
   if (memo_enabled) {
@@ -830,10 +814,6 @@ SatEngineStats SatEngine::stats() const {
   SatEngineStats s;
   for (size_t i = kNumSatEngineCounters; i-- > 0;) {
     s.*kSatEngineCounters[i].field = counters_[i]->value();
-  }
-  if (rewrite_cache_ != nullptr) {
-    s.rewrite_cache_hits = rewrite_cache_->hits();
-    s.rewrite_cache_misses = rewrite_cache_->misses();
   }
   s.uptime_ms = uptime_ms();
   s.snapshot_seq = NextSnapshotSeq();

@@ -36,17 +36,13 @@
 //   * A query cache keyed by the canonical ToString() printing of the parsed
 //     AST (with a raw-text alias so byte-identical requests skip the parser
 //     entirely) holding the AST plus its fragment profile.
-//   * A Prop 3.3 rewrite cache (RewriteCache, src/sat/compiled_dtd.h) keyed
-//     by (canonical query, DTD fingerprint), threaded into the deciders so
-//     the f(p) rewriting — the dominant miss-path cost of the PTIME filter
-//     fragments (Thm 6.8(1)/4.4) — is computed once per (query, DTD) pair
-//     and reused by every later miss, across threads and connections.
 //
-// All four caches are built on LruCache (src/util/lru_cache.h): one mutex,
+// All three caches are built on LruCache (src/util/lru_cache.h): one mutex,
 // one recency list and one index per cache, exact LRU eviction. A probe
 // holds its cache's lock for one hash lookup and one list splice, and no
-// lock spans two caches; evicted values are freed after the lock is
-// released.
+// lock spans two caches; the thread whose insert evicts a value frees it,
+// after the lock is released. Nothing caches the Prop 3.3 rewrite f(p): a
+// repeated (query, DTD) pair is a memo hit and never reaches a decider.
 //
 // Verdict parity: the engine runs the same Sec. 8 dispatch over the same
 // CompiledDtd that DecideSatisfiability(parse(query), dtd, options) builds,
@@ -95,17 +91,12 @@ struct SatEngineOptions {
   /// Compiled DTDs kept (LRU by fingerprint). Must be >= 1. Live DtdHandles
   /// pin their artifacts regardless of eviction; nothing else does, so live
   /// compiled artifacts (the live_compiled_artifacts gauge) stay within this
-  /// capacity plus the schemas that handles and in-flight requests hold,
-  /// plus evicted artifacts a worker has yet to free.
+  /// capacity plus the schemas that handles and in-flight requests hold.
   size_t dtd_cache_capacity = 64;
   /// Memoized verdicts kept (LRU by (canonical query, DTD fingerprint,
   /// options digest)). 0 disables verdict memoization entirely. An entry
   /// pins its schema's source Dtd (a few KB), never the compiled artifacts.
   size_t memo_capacity = 8192;
-  /// Memoized Prop 3.3 rewrites kept (LRU by (canonical query, DTD
-  /// fingerprint)); serves the miss path of the Thm 6.8(1)/6.8(2)/4.4
-  /// pipelines. 0 disables rewrite caching (every miss re-runs f(p)).
-  size_t rewrite_cache_capacity = 4096;
   /// Requests whose end-to-end latency (queue wait included) reaches this
   /// threshold are copied — query text, fingerprint, route, span breakdown —
   /// into the slow-query log (drained via DrainSlowLog / the `slow` protocol
@@ -264,11 +255,11 @@ struct SnapshotLoadResult {
 
 /// Monotonic counters over the engine's lifetime.
 ///
-/// One counter store: every field but the rewrite pair, the two stamps and
-/// the two gauges is a kSatEngineCounters row, an obs::Counter in the
-/// engine's MetricsRegistry named after the field, so `stats`, `health` and
-/// `metrics` read the same cells and agree by construction (as they do for
-/// the two gauges, which are registry Gauges).
+/// One counter store: every field but the always-0 rewrite pair, the two
+/// stamps and the two gauges is a kSatEngineCounters row, an obs::Counter in
+/// the engine's MetricsRegistry named after the field, so `stats`, `health`
+/// and `metrics` read the same cells and agree by construction (as they do
+/// for the two gauges, which are registry Gauges).
 ///
 /// Snapshot consistency: stats() is not one atomic snapshot (counters are
 /// independent atomics updated lock-free on the hot path), but it is more
@@ -300,11 +291,9 @@ struct SatEngineStats {
   /// neither counter.
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
-  /// Prop 3.3 rewrite-cache probes from inside the deciders. Not
-  /// per-request: a memo hit probes zero times, a miss-path request probes
-  /// once per decider that rewrites (usually one, occasionally two when the
-  /// dispatch falls through); 0/0 when the rewrite cache is disabled. Kept
-  /// by RewriteCache (src/sat does not link src/obs), not in the registry.
+  /// Always 0: the engine caches no Prop 3.3 rewrites. Kept only because
+  /// perfbench/traced.cc reads them (its engine.rewrite_hit_ratio); they go
+  /// when the benchmark stops reading them.
   uint64_t rewrite_cache_hits = 0;
   uint64_t rewrite_cache_misses = 0;
   uint64_t parse_errors = 0;
@@ -412,10 +401,6 @@ class SatEngine {
   /// inside one of the engine's own worker jobs.
   SatResponse Run(const SatRequest& request);
 
-  /// Compiles `dtd` through the cache without registering a handle (cache
-  /// warm-up; RegisterDtd uses this internally).
-  std::shared_ptr<const CompiledDtd> CompileAndCache(const Dtd& dtd);
-
   /// Writes a versioned snapshot (src/store/snapshot.h) of the served
   /// schemas and the verdict memo to `path`, atomically (a temporary unique
   /// to this save, synced, then renamed). Entries are collected by walking
@@ -474,8 +459,7 @@ class SatEngine {
   uint64_t live_dtd_handles() const;
   /// CompiledDtds this engine compiled (registration, snapshot load) that
   /// are still alive, wherever they are held: the DTD cache, handles,
-  /// in-flight requests, evictions queued for a worker to free (a gauge,
-  /// not a counter).
+  /// in-flight requests (a gauge, not a counter).
   uint64_t live_compiled_artifacts() const;
   int num_threads() const { return pool_.num_threads(); }
 
@@ -557,9 +541,6 @@ class SatEngine {
   // fingerprint, which the entry verifies). Sized max(1, memo_capacity);
   // unused when memo_capacity == 0.
   LruCache<std::string, MemoEntry> memo_;
-  // Prop 3.3 rewrite cache, threaded into the deciders through
-  // DecideSatisfiability; null when rewrite_cache_capacity == 0.
-  std::unique_ptr<RewriteCache> rewrite_cache_;
 
   std::atomic<uint64_t> next_handle_id_{1};
   std::atomic<uint64_t> next_ticket_id_{1};

@@ -29,7 +29,7 @@ struct RequestTrace {
   uint64_t wire_decode_ns = 0;  ///< transport framing decode (0 off the wire)
   uint64_t queue_ns = 0;    ///< Submit() to worker pickup
   uint64_t parse_ns = 0;    ///< parse + canonicalize + feature detection (0 on query-cache hit)
-  uint64_t rewrite_ns = 0;  ///< Prop 3.3 rewrite work (0 on rewrite-cache hit)
+  uint64_t rewrite_ns = 0;  ///< Prop 3.3 rewrite f(p) (0 on routes that build none)
   uint64_t decide_ns = 0;   ///< dispatch + decider execution
   uint64_t store_load_ns = 0;  ///< artifact-store snapshot load (warm restart); 0 on requests
   uint64_t total_ns = 0;    ///< Submit() to fulfilment

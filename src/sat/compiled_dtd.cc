@@ -169,13 +169,13 @@ int LabelGraph::Next(const uint64_t* row, int from) const {
   return static_cast<int>(w * 64) + __builtin_ctzll(bits);
 }
 
-RewriteCache::RewriteCache(size_t capacity) : cache_(capacity) {}
-
-uint64_t RewriteCache::TakeThreadRewriteNs() {
+uint64_t TakeThreadRewriteNs() {
   const uint64_t taken = g_thread_rewrite_ns;
   g_thread_rewrite_ns = 0;
   return taken;
 }
+
+RewriteCache::RewriteCache(size_t capacity) : cache_(capacity) {}
 
 Result<std::shared_ptr<const PathExpr>> RewriteCache::GetOrRewrite(
     const PathExpr& p, const CompiledDtd& compiled) {

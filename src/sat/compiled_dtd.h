@@ -34,6 +34,13 @@ namespace xpathsat {
 
 class PathExpr;
 
+/// Returns the nanoseconds this thread has spent computing Prop 3.3
+/// rewrites f(p) since the last call, and resets the accumulator to zero.
+/// Thread-local, so a caller that resets it before dispatching and reads it
+/// after gets exactly the rewrite work its own request performed — the
+/// engine's rewrite-span hook. A RewriteCache hit accumulates nothing.
+uint64_t TakeThreadRewriteNs();
+
 /// The DTD graph restricted to realizable children, plus its
 /// reflexive-transitive closure over terminating types, over dense label ids.
 /// Id i is the i-th declared type in name order, so walking a row's bits
@@ -101,23 +108,18 @@ struct CompiledDtd {
 /// LRU memo for the Prop 3.3 query rewriting f(p), keyed by (canonical
 /// query printing, Dtd::Fingerprint()).
 ///
-/// Both PTIME decision pipelines that dominate warm filter traffic —
-/// Thm 6.8(1) and Thm 4.4 — start by rewriting the query onto the normal
-/// form N(D), and that per-(query, DTD) rewrite is the bulk of the remaining
-/// per-request cost once the DTD artifacts are precompiled. The engine owns
-/// one RewriteCache and threads it through DecideSatisfiability into the
-/// deciders, so a rewrite computed by any request (on any thread, from any
-/// connection) is reused by every later miss on the same (query, DTD) pair
-/// — including requests whose verdict-memo key differs (other SatOptions
-/// digests, evicted memo entries, or a memo-disabled engine).
+/// No longer the engine's: its verdict memo answers a repeated (query, DTD)
+/// pair before any decider runs, so this cache hit 0 times on every serving
+/// workload while holding most of a schema-churn server's memory. It serves
+/// only its own tests and perfbench's traced replay, and goes with them
+/// (ROADMAP direction 3).
 ///
 /// Correctness: fingerprints are 64-bit FNV and can collide, so every hit is
 /// verified against the source DTD the entry was rewritten for
 /// (Dtd::EquivalentTo); a colliding second DTD never serves the first DTD's
-/// rewrite — it computes its own, uncached (the incumbent keeps the slot),
-/// exactly like the engine's artifact-cache collision rule. Rewrite errors
-/// are never cached. Thread-safe; the returned ASTs are immutable and shared
-/// freely across threads.
+/// rewrite — it computes its own, uncached (the incumbent keeps the slot).
+/// Rewrite errors are never cached. Thread-safe; the returned ASTs are
+/// immutable and shared freely across threads.
 class RewriteCache {
  public:
   /// `capacity` is the entry budget (LRU eviction past it).
@@ -129,19 +131,11 @@ class RewriteCache {
   Result<std::shared_ptr<const PathExpr>> GetOrRewrite(
       const PathExpr& p, const CompiledDtd& compiled);
 
-  /// Aggregate probe counters (a rejected fingerprint-collision hit counts
-  /// as a miss). A single request can probe more than once when the dispatch
-  /// tries several deciders.
-  uint64_t hits() const { return cache_.hits(); }
-  uint64_t misses() const { return cache_.misses(); }
-
-  /// Returns the nanoseconds this thread has spent computing Prop 3.3
-  /// rewrites (GetOrRewrite miss paths) since the last call, and resets the
-  /// accumulator to zero. Thread-local, so a caller that resets it before
-  /// dispatching and reads it after gets exactly the rewrite work its own
-  /// request performed — the engine's rewrite-span hook. Cache hits
-  /// accumulate nothing.
-  static uint64_t TakeThreadRewriteNs();
+  /// The free TakeThreadRewriteNs() above, under the name perfbench's
+  /// traced replay calls it by.
+  static uint64_t TakeThreadRewriteNs() {
+    return xpathsat::TakeThreadRewriteNs();
+  }
 
  private:
   struct Entry {

@@ -79,8 +79,8 @@ SatReport DecideSatisfiability(const PathExpr& p, const Dtd& dtd,
 /// The dispatch over precompiled per-DTD artifacts. Thread-safe for
 /// concurrent calls sharing one CompiledDtd; used by the batch SatEngine. A
 /// non-null `rewrite_cache` memoizes the Prop 3.3 f(p) rewriting of the
-/// Thm 6.8(1)/6.8(2)/4.4 pipelines across calls (the engine threads its
-/// cache through here); verdicts are identical either way.
+/// Thm 6.8(1)/6.8(2)/4.4 pipelines across calls (the engine passes none);
+/// verdicts are identical either way.
 SatReport DecideSatisfiability(const PathExpr& p, const CompiledDtd& compiled,
                                const SatOptions& options = {},
                                RewriteCache* rewrite_cache = nullptr);

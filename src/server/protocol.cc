@@ -322,9 +322,7 @@ std::string FormatStatsJson(const SatEngineStats& stats) {
     out << sep << '"' << counter.name << "\": " << stats.*counter.field;
     sep = ", ";
   }
-  out << ", \"rewrite_cache_hits\": " << stats.rewrite_cache_hits
-      << ", \"rewrite_cache_misses\": " << stats.rewrite_cache_misses
-      << ", \"uptime_ms\": " << stats.uptime_ms
+  out << ", \"uptime_ms\": " << stats.uptime_ms
       << ", \"snapshot_seq\": " << stats.snapshot_seq
       << ", \"live_dtd_handles\": " << stats.live_dtd_handles
       << ", \"live_compiled_artifacts\": " << stats.live_compiled_artifacts

@@ -1,12 +1,12 @@
 // LruCache<K, V>: a thread-safe LRU cache — one mutex, one recency list,
 // one index.
 //
-// The engine's caches (compiled-DTD artifacts, canonical queries, the
-// verdict memo, and the Prop 3.3 rewrite cache) are probed concurrently by
-// every worker thread and every connection's completion path. A probe holds
-// the lock for one hash lookup and one list splice; a key-hash-sharded
-// layout measured within run-to-run spread of this one on the serving
-// benchmark, so each cache keeps one lock and exact global LRU order.
+// The engine's three caches (compiled-DTD artifacts, canonical queries and
+// the verdict memo) are probed concurrently by every worker thread and every
+// connection's completion path. A probe holds the lock for one hash lookup
+// and one list splice; a key-hash-sharded layout measured within run-to-run
+// spread of this one on the serving benchmark, so each cache keeps one lock
+// and exact global LRU order.
 //
 // Semantics:
 //   * At most `capacity` entries are resident; inserting past it evicts the
@@ -18,11 +18,10 @@
 //     existing entry is never clobbered (callers that must verify hits
 //     beyond key equality, e.g. against fingerprint collisions, do so in
 //     LookupIf's accept predicate and handle rejection themselves).
-//   * Evicted values are destroyed after the lock is released (or handed to
-//     the caller), so freeing a large victim never stalls other probes.
-//   * hits()/misses() are atomic counters. Increments use release ordering
-//     and the accessors acquire, so a reader that observes a counter value
-//     also observes every cache mutation that preceded it.
+//   * Evicted values are destroyed on the inserting thread after the lock
+//     is released, so freeing a large victim never stalls other probes.
+//   * No probe counters: LookupWith returns whether it hit, and callers
+//     count in their own store (the engine's MetricsRegistry).
 //
 // Lock discipline (Clang -Wthread-safety checked): the LRU list and index
 // are GUARDED_BY the mutex and only touched inside a MutexLock scope. Caller
@@ -34,8 +33,7 @@
 #ifndef XPATHSAT_UTIL_LRU_CACHE_H_
 #define XPATHSAT_UTIL_LRU_CACHE_H_
 
-#include <atomic>
-#include <cstdint>
+#include <cstddef>
 #include <list>
 #include <optional>
 #include <unordered_map>
@@ -51,23 +49,19 @@ template <typename K, typename V>
 class LruCache {
  public:
   /// `capacity` is the entry budget (>= 1; 0 is clamped to 1).
-  /// `count_probes` = false skips the hit/miss counters entirely
-  /// (hits()/misses() stay 0) — for callers that keep their own accounting
-  /// and do not want a second contended counter cacheline on every probe.
-  explicit LruCache(size_t capacity, bool count_probes = true)
-      : capacity_(capacity < 1 ? 1 : capacity), count_probes_(count_probes) {}
+  explicit LruCache(size_t capacity) : capacity_(capacity < 1 ? 1 : capacity) {}
 
   /// Returns a copy of the resident value (touching it to the LRU front),
-  /// or nullopt. Counts one hit or one miss.
+  /// or nullopt.
   std::optional<V> Lookup(const K& key) {
     return LookupIf(key, [](V&) { return true; });
   }
 
   /// Lookup with verification: `accept(V&)` runs under the lock on the
   /// resident entry and may mutate it in place; returning false rejects the
-  /// hit (the entry stays resident and untouched in LRU order) and the call
-  /// counts as a miss. Use for hits that need checking beyond key equality
-  /// (fingerprint-collision verification) or refreshing (memo pin updates).
+  /// hit (the entry stays resident and untouched in LRU order). Use for
+  /// hits that need checking beyond key equality (fingerprint-collision
+  /// verification) or refreshing (memo pin updates).
   template <typename Accept>
   std::optional<V> LookupIf(const K& key, Accept&& accept) {
     std::optional<V> out;
@@ -84,32 +78,20 @@ class LruCache {
   /// (no copy of V out of the cache).
   template <typename Accept>
   bool LookupWith(const K& key, Accept&& accept) {
-    bool hit = false;
-    {
-      util::MutexLock lock(mu_);
-      auto it = index_.find(key);
-      if (it != index_.end() && accept(it->second->second)) {
-        lru_.splice(lru_.begin(), lru_, it->second);
-        hit = true;
-      }
-    }
-    if (count_probes_) {
-      (hit ? hits_ : misses_).fetch_add(1, std::memory_order_release);
-    }
-    return hit;
+    util::MutexLock lock(mu_);
+    auto it = index_.find(key);
+    if (it == index_.end() || !accept(it->second->second)) return false;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return true;
   }
 
   /// Inserts key -> value unless the key is already resident, and returns
   /// the resident value either way (touched to the LRU front). On insert the
-  /// LRU tail past capacity is evicted. Victims are destroyed after the lock
-  /// is released; with `evicted` non-null they are moved there instead, so
-  /// the caller picks the thread that pays for their destruction. Does not
-  /// count hit/miss — callers pair it with a Lookup/LookupIf that already
-  /// did.
-  V InsertIfAbsent(const K& key, V value, std::vector<V>* evicted = nullptr) {
+  /// LRU tail past capacity is dropped; the victims are destroyed on this
+  /// thread after the lock is released.
+  V InsertIfAbsent(const K& key, V value) {
     // Declared before the lock, so destroyed after it is released.
     std::vector<V> victims;
-    if (evicted == nullptr) evicted = &victims;
     util::MutexLock lock(mu_);
     auto it = index_.find(key);
     if (it != index_.end()) {
@@ -120,7 +102,7 @@ class LruCache {
     index_[key] = lru_.begin();
     while (lru_.size() > capacity_) {
       index_.erase(lru_.back().first);
-      evicted->push_back(std::move(lru_.back().second));
+      victims.push_back(std::move(lru_.back().second));
       lru_.pop_back();
     }
     return lru_.front().second;
@@ -128,8 +110,7 @@ class LruCache {
 
   /// Visits every resident entry as fn(const K&, const V&), most recently
   /// used first, under the lock. `fn` must be quick, must not block, and
-  /// must not reenter this cache. Does not touch LRU order and counts no
-  /// probes. The artifact store's save path walks the caches with this.
+  /// must not reenter this cache. Does not touch LRU order. The artifact store's save path walks the caches with this.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     util::MutexLock lock(mu_);
@@ -142,19 +123,13 @@ class LruCache {
     return lru_.size();
   }
 
-  uint64_t hits() const { return hits_.load(std::memory_order_acquire); }
-  uint64_t misses() const { return misses_.load(std::memory_order_acquire); }
-
  private:
   using List = std::list<std::pair<K, V>>;  // most recent first
 
   const size_t capacity_;
-  const bool count_probes_;
   mutable util::Mutex mu_;
   List lru_ GUARDED_BY(mu_);
   std::unordered_map<K, typename List::iterator> index_ GUARDED_BY(mu_);
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
 };
 
 }  // namespace xpathsat

@@ -199,10 +199,11 @@ TEST(CompiledDtdTest, BitsetGraphsMatchStringSetReference) {
 // --- Artifact reuse and snapshot parity ------------------------------------
 //
 // The engine compiles a DTD once, shares the artifact across every query and
-// thread, memoizes f(p) in a RewriteCache, and recompiles schemas restored
-// from snapshots on restart. Each decider must return the same verdict there as
-// on the one-shot path: a CompiledDtd::Compile made for that single call and
-// no rewrite cache.
+// thread, and recompiles schemas restored from snapshots on restart; a
+// caller may also share a RewriteCache for f(p) (perfbench's traced replay
+// does). Each decider must return the same verdict there as on the one-shot
+// path: a CompiledDtd::Compile made for that single call and no rewrite
+// cache.
 
 class CompiledAgreement : public ::testing::TestWithParam<int> {};
 

@@ -1,7 +1,7 @@
 // LruCache: exact LRU eviction, InsertIfAbsent keep-incumbent behavior,
 // LookupIf verification/mutation under the lock, the capacity bound,
-// victims freed outside the lock, hit/miss accounting, and a multithreaded
-// hammer (the ASan and TSan CI jobs run this suite).
+// victims freed by the inserting thread outside the lock, and a
+// multithreaded hammer (the ASan and TSan CI jobs run this suite).
 #include "src/util/lru_cache.h"
 
 #include <atomic>
@@ -39,10 +39,9 @@ TEST(LruCacheTest, InsertIfAbsentKeepsTheIncumbent) {
 TEST(LruCacheTest, LookupIfRejectsAndMutatesUnderTheLock) {
   LruCache<std::string, int> cache(8);
   cache.InsertIfAbsent("k", 10);
-  // Rejected hit: counts as a miss, entry stays resident.
+  // Rejected hit: reads as absent, entry stays resident.
   EXPECT_EQ(cache.LookupIf("k", [](int& v) { return v > 100; }),
             std::nullopt);
-  EXPECT_EQ(cache.misses(), 1u);
   // Accepted hit may mutate in place (the memo's refresh-the-pin pattern).
   EXPECT_EQ(cache.LookupIf("k",
                            [](int& v) {
@@ -51,7 +50,6 @@ TEST(LruCacheTest, LookupIfRejectsAndMutatesUnderTheLock) {
                            }),
             11);
   EXPECT_EQ(cache.Lookup("k"), 11);
-  EXPECT_EQ(cache.hits(), 2u);
   // LookupWith: same semantics, no copy out — the accept extracts in place.
   int seen = 0;
   EXPECT_TRUE(cache.LookupWith("k", [&](int& v) {
@@ -60,19 +58,7 @@ TEST(LruCacheTest, LookupIfRejectsAndMutatesUnderTheLock) {
   }));
   EXPECT_EQ(seen, 11);
   EXPECT_FALSE(cache.LookupWith("absent", [](int&) { return true; }));
-  EXPECT_EQ(cache.hits(), 3u);
-  EXPECT_EQ(cache.misses(), 2u);
-}
-
-TEST(LruCacheTest, CountsHitsAndMisses) {
-  LruCache<std::string, int> cache(8);
-  EXPECT_EQ(cache.Lookup("nope"), std::nullopt);
-  cache.InsertIfAbsent("k", 1);
-  cache.Lookup("k");
-  cache.Lookup("k");
-  cache.Lookup("gone");
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_FALSE(cache.LookupWith("k", [](int&) { return false; }));
 }
 
 TEST(LruCacheTest, SizeStaysBounded) {
@@ -105,14 +91,9 @@ TEST(LruCacheTest, SharedPtrValuesSurviveEviction) {
   cache.InsertIfAbsent(2, std::make_shared<int>(8));  // evicts key 1
   EXPECT_EQ(cache.Lookup(1), std::nullopt);
   EXPECT_EQ(*held, 7);
-  // With an `evicted` vector the victim is handed to the caller, which
-  // decides where it is destroyed.
+  // A victim nothing else holds dies before the evicting insert returns.
   std::weak_ptr<int> second = *cache.Lookup(2);
-  std::vector<std::shared_ptr<int>> evicted;
-  cache.InsertIfAbsent(3, std::make_shared<int>(9), &evicted);  // evicts 2
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(*evicted[0], 8);
-  evicted.clear();
+  cache.InsertIfAbsent(3, std::make_shared<int>(9));  // evicts 2
   EXPECT_TRUE(second.expired());
 }
 
@@ -144,13 +125,14 @@ TEST(LruCacheTest, VictimsAreDestroyedWithTheLockReleased) {
 TEST(LruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
   // N threads insert and look up overlapping key ranges; every observed
   // value must equal the one true value for its key (InsertIfAbsent never
-  // clobbers), and counters must add up to the number of probes. The TSan
-  // CI job runs this against the real mutexes.
+  // clobbers). Nothing is ever evicted, so a key's lookups miss only until
+  // it is first inserted: at least its first lookup overall, at most one
+  // per thread. The TSan CI job runs this against the real mutexes.
   const int kThreads = 8;
   const int kKeys = 128;
   const int kRounds = 400;
   LruCache<int, int> cache(kKeys);
-  std::atomic<uint64_t> probes{0};
+  std::atomic<uint64_t> hits{0};
   std::atomic<int> bad{0};
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
@@ -158,9 +140,14 @@ TEST(LruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
     workers.emplace_back([&, t] {
       for (int r = 0; r < kRounds; ++r) {
         int key = (t * 31 + r * 17) % kKeys;
-        std::optional<int> seen = cache.Lookup(key);
-        probes.fetch_add(1);
-        if (seen.has_value() && *seen != key * 3) bad.fetch_add(1);
+        int seen = -1;
+        if (cache.LookupWith(key, [&](int& v) {
+              seen = v;
+              return true;
+            })) {
+          hits.fetch_add(1);
+          if (seen != key * 3) bad.fetch_add(1);
+        }
         int resident = cache.InsertIfAbsent(key, key * 3);
         if (resident != key * 3) bad.fetch_add(1);
       }
@@ -168,7 +155,9 @@ TEST(LruCacheTest, ConcurrentHammerKeepsValuesConsistent) {
   }
   for (std::thread& w : workers) w.join();
   EXPECT_EQ(bad.load(), 0);
-  EXPECT_EQ(cache.hits() + cache.misses(), probes.load());
+  const uint64_t misses = uint64_t{kThreads} * kRounds - hits.load();
+  EXPECT_GE(misses, uint64_t{kKeys});
+  EXPECT_LE(misses, uint64_t{kKeys} * kThreads);
   EXPECT_LE(cache.size(), static_cast<size_t>(kKeys));
 }
 

@@ -136,18 +136,15 @@ TEST(RewriteCacheTest, ServesTheExactRewriteAndHitsOnRepeat) {
       RewriteForNormalizedDtd(*p, compiled->dtd, compiled->norm);
   ASSERT_TRUE(direct.ok());
   EXPECT_EQ(first.value()->ToString(), direct.value()->ToString());
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 1u);
 
   // The repeat serves the SAME AST object (no recomputation).
   Result<std::shared_ptr<const PathExpr>> second =
       cache.GetOrRewrite(*p, *compiled);
   ASSERT_TRUE(second.ok());
   EXPECT_EQ(second.value().get(), first.value().get());
-  EXPECT_EQ(cache.hits(), 1u);
 
   // The deciders' entry point serves the cache when given one and computes
-  // the same rewrite without it.
+  // the same rewrite afresh, as a new AST, without it.
   Result<std::shared_ptr<const PathExpr>> served =
       RewriteOntoNormalForm(*p, *compiled, &cache);
   ASSERT_TRUE(served.ok());
@@ -155,9 +152,8 @@ TEST(RewriteCacheTest, ServesTheExactRewriteAndHitsOnRepeat) {
   Result<std::shared_ptr<const PathExpr>> uncached =
       RewriteOntoNormalForm(*p, *compiled, nullptr);
   ASSERT_TRUE(uncached.ok());
+  EXPECT_NE(uncached.value().get(), first.value().get());
   EXPECT_EQ(uncached.value()->ToString(), direct.value()->ToString());
-  EXPECT_EQ(cache.hits(), 2u);
-  EXPECT_EQ(cache.misses(), 1u);
 }
 
 TEST(RewriteCacheTest, RandomizedParityWithDirectRewrite) {
@@ -214,15 +210,17 @@ TEST(RewriteCacheTest, FingerprintCollidingDtdNeverServesForeignRewrite) {
       RewriteForNormalizedDtd(*p, forged.dtd, forged.norm);
   ASSERT_TRUE(direct2.ok());
   EXPECT_EQ(for_forged.value()->ToString(), direct2.value()->ToString());
-  // The colliding probe counted as a miss, and the incumbent still serves
-  // the original schema.
-  EXPECT_EQ(cache.hits(), 0u);
-  EXPECT_EQ(cache.misses(), 2u);
+  // The forged schema's rewrite was not cached: a repeat computes another.
+  Result<std::shared_ptr<const PathExpr>> forged_again =
+      cache.GetOrRewrite(*p, forged);
+  ASSERT_TRUE(forged_again.ok());
+  EXPECT_NE(forged_again.value().get(), for_forged.value().get());
+  EXPECT_NE(forged_again.value().get(), for_d1.value().get());
+  // The incumbent still serves the original schema its cached AST.
   Result<std::shared_ptr<const PathExpr>> d1_again =
       cache.GetOrRewrite(*p, *c1);
   ASSERT_TRUE(d1_again.ok());
   EXPECT_EQ(d1_again.value().get(), for_d1.value().get());
-  EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(RewriteCacheTest, ErrorsArePassedThroughUncached) {
@@ -231,8 +229,7 @@ TEST(RewriteCacheTest, ErrorsArePassedThroughUncached) {
   RewriteCache cache(64);
   std::unique_ptr<PathExpr> sibling = Path("A/>");  // outside the fragment
   EXPECT_FALSE(cache.GetOrRewrite(*sibling, *compiled).ok());
-  EXPECT_FALSE(cache.GetOrRewrite(*sibling, *compiled).ok());
-  EXPECT_EQ(cache.hits(), 0u);  // never cached, never served
+  EXPECT_FALSE(cache.GetOrRewrite(*sibling, *compiled).ok());  // not cached
 }
 
 TEST(SatisfiabilityTest, WitnessesAreVerifiable) {

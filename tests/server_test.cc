@@ -12,6 +12,7 @@
 
 #include <cerrno>
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <chrono>
@@ -620,61 +621,84 @@ TEST(SocketServerTest, TwoConcurrentClientsShareOneEngineAndItsMemo) {
   server.Stop();
 }
 
-TEST(SocketServerTest, CrossClientRewriteCacheReuseWithMemoDisabled) {
-  // With the verdict memo off, every request walks the miss path — so the
-  // second client's filter traffic must be served its Prop 3.3 rewrites
-  // from the cache the FIRST client populated (cross-client rewrite reuse),
-  // and the stats line must surface the new counters.
+TEST(SocketServerTest, CrossClientVerdictParityWithMemoDisabled) {
+  // With the verdict memo off every request walks the miss path and runs a
+  // decider. Two clients connected at once, sending the same queries on the
+  // same schema, must each get the same verdict and route per query, and
+  // the route must be the one the in-process engine reports.
   SatEngineOptions eopt;
   eopt.num_threads = 2;
   eopt.memo_capacity = 0;
   SatEngine engine(eopt);
-  std::string dtd_path = WriteTempDtd("socket_rewrite.dtd");
+  std::string dtd_path = WriteTempDtd("socket_nomemo.dtd");
   SocketServerOptions opt;
-  opt.unix_path = SocketPath("rewrite");
+  opt.unix_path = SocketPath("nomemo");
   SocketServer server(&engine, opt);
   ASSERT_TRUE(server.Start().ok());
 
-  // kHeavyQuery is a positive filter query: it routes to the Thm 4.4
-  // skeleton search, whose first step is the f(p) rewrite.
-  auto run_client = [&](const char* name, int repeats) {
+  // kHeavyQuery routes to the Thm 4.4 skeleton search, which starts with
+  // the Prop 3.3 rewrite; the others cover the reach, filter and unsat
+  // cells.
+  const std::vector<std::string> queries = {
+      kHeavyQuery,       "section/item",   "**/note",
+      "**/item[title]",  "section/heading", "nosuchlabel"};
+  // A result line is "<id> [<verdict>] <query> -- <route> <t>us[ q-cached]"
+  // (the verdict space-padded); each client maps query -> "<verdict> --
+  // <route>".
+  auto run_client = [&](const char* name,
+                        std::map<std::string, std::string>* verdicts) {
     Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
     ASSERT_TRUE(fd.ok()) << fd.error();
     TestClient client(std::move(fd).value());
     client.Send(std::string("dtd ") + name + " " + dtd_path);
     client.WaitFor("ok dtd");
-    for (int i = 0; i < repeats; ++i) {
-      client.Send(std::string("query ") + name + " " + kHeavyQuery);
-      // Flush between requests: concurrent first-misses would both compute
-      // the rewrite (benign race, but it would blur the exact miss count
-      // asserted below).
-      client.Send("flush");
-      client.WaitFor("ok flush");
+    for (const std::string& q : queries) {
+      client.Send(std::string("query ") + name + " " + q);
     }
+    client.Send("flush");
+    client.WaitFor("ok flush");
     client.Send("quit");
     client.WaitFor("ok quit");
+    for (std::string l : client.lines()) {
+      const size_t arrow = l.find(" -- ");
+      if (arrow == std::string::npos) continue;
+      EXPECT_EQ(l.find(" memo"), std::string::npos) << l;
+      const std::string cached = " q-cached";
+      if (l.size() > cached.size() &&
+          l.compare(l.size() - cached.size(), cached.size(), cached) == 0) {
+        l.resize(l.size() - cached.size());
+      }
+      const size_t open = l.find('[');
+      const size_t close = l.find("] ", open);
+      const std::string query = l.substr(close + 2, arrow - close - 2);
+      const size_t verdict_end = l.find(' ', open);
+      (*verdicts)[query] =
+          l.substr(open + 1, std::min(verdict_end, close) - open - 1) +
+          " -- " + l.substr(arrow + 4, l.rfind(' ') - arrow - 4);
+    }
   };
-  run_client("alpha", 2);  // primes the rewrite cache (first request misses)
-  SatEngineStats primed = engine.stats();
-  EXPECT_GE(primed.rewrite_cache_hits, 1u);  // alpha's own repeat already hits
-  run_client("beta", 3);   // a different connection, same (query, DTD) pair
+  std::map<std::string, std::string> alpha;
+  std::map<std::string, std::string> beta;
+  std::thread a(run_client, "alpha", &alpha);
+  std::thread b(run_client, "beta", &beta);
+  a.join();
+  b.join();
+  EXPECT_EQ(alpha.size(), queries.size());
+  EXPECT_EQ(alpha, beta);
 
+  DtdHandle handle = engine.RegisterDtd(ParseDtdOrDie(kHeavyDtdText));
+  for (const std::string& q : queries) {
+    SatRequest r;
+    r.query = q;
+    r.dtd = handle;
+    SatResponse resp = engine.Run(r);
+    ASSERT_TRUE(resp.status.ok()) << q;
+    EXPECT_EQ(alpha[q], std::string(protocol::VerdictName(resp)) + " -- " +
+                            resp.report.algorithm)
+        << q;
+  }
   SatEngineStats stats = engine.stats();
   EXPECT_EQ(stats.memo_hits + stats.memo_misses, 0u);  // memo really off
-  EXPECT_EQ(stats.rewrite_cache_misses, 1u);  // one rewrite, ever
-  EXPECT_GE(stats.rewrite_cache_hits, primed.rewrite_cache_hits + 3);
-
-  // The wire stats line carries the counters for scripted clients.
-  Result<net::ScopedFd> fd = net::ConnectUnix(opt.unix_path);
-  ASSERT_TRUE(fd.ok()) << fd.error();
-  TestClient probe(std::move(fd).value());
-  probe.Send("stats");
-  std::string line = probe.WaitFor("stats {");
-  EXPECT_NE(line.find("\"rewrite_cache_hits\": "), std::string::npos) << line;
-  EXPECT_NE(line.find("\"rewrite_cache_misses\": 1"), std::string::npos)
-      << line;
-  probe.Send("quit");
-  probe.WaitFor("ok quit");
   server.Stop();
 }
 
@@ -1196,12 +1220,10 @@ TEST(SocketServerTest, StatsAndMetricsAgree) {
   std::map<std::string, int64_t> routes =
       NumericFields(MetricsSection(metrics, "routes"));
 
-  // Not registry cells: the rewrite pair lives on RewriteCache; uptime_ms
-  // and snapshot_seq are stamped per reply. The live_dtd_handles and
-  // live_compiled_artifacts gauges are registry cells and are compared.
-  const std::set<std::string> not_in_registry = {
-      "rewrite_cache_hits", "rewrite_cache_misses", "uptime_ms",
-      "snapshot_seq"};
+  // Not registry cells: uptime_ms and snapshot_seq are stamped per reply.
+  // The live_dtd_handles and live_compiled_artifacts gauges are registry
+  // cells and are compared.
+  const std::set<std::string> not_in_registry = {"uptime_ms", "snapshot_seq"};
   size_t compared = 0;
   for (const auto& [name, value] : stats) {
     if (not_in_registry.count(name) != 0) continue;

@@ -460,7 +460,6 @@ int main(int argc, char** argv) {
       "%d sat, %d unsat, %d unknown, %d error\n"
       "wall %.1f ms (%.0f req/s) | dtd cache %llu/%llu hits | "
       "query cache %llu/%llu hits | memo %llu/%llu hits | "
-      "rewrite cache %llu/%llu hits | "
       "%llu cancellations | %llu deadline expirations\n",
       workload.size(), opt.repeat, engine.num_threads(), n_sat, n_unsat,
       n_unknown, n_error, wall_ms, throughput,
@@ -472,9 +471,6 @@ int main(int argc, char** argv) {
                                       stats.query_cache_misses),
       static_cast<unsigned long long>(stats.memo_hits),
       static_cast<unsigned long long>(stats.memo_hits + stats.memo_misses),
-      static_cast<unsigned long long>(stats.rewrite_cache_hits),
-      static_cast<unsigned long long>(stats.rewrite_cache_hits +
-                                      stats.rewrite_cache_misses),
       static_cast<unsigned long long>(stats.cancellations),
       static_cast<unsigned long long>(stats.deadline_expirations));
   if (const obs::Histogram* hist =
